@@ -31,7 +31,6 @@ from .poly import (
     top_system,
 )
 from .bounds import (
-    BoundRequest,
     MacaulayExpansion,
     OutOfRange,
     PreconditionViolated,

@@ -24,10 +24,12 @@ from .linalg import RowReducer
 from .macaulay import solve
 from .poly import (
     Monomial,
+    MonomialIndex,
     PolySystem,
     Polynomial,
     homogenize_system,
-    monomials_of_degree,
+    monomial_keys_up_to,
+    term_arrays,
     top_system,
 )
 
@@ -71,64 +73,43 @@ def _graded_rank(F: PolySystem, d: int) -> int:
     """Rank of the degree-d block: rows u*f_j with deg(u*f_j) = d."""
     n = F.ring.n
     p = F.ring.modulus.p
-    cols = monomials_of_degree(n, d)
-    ncols = len(cols)
-    base = d + 1
-    packable = base**n < 2**62
-    if packable:
-        weights = np.array([base**i for i in range(n)], dtype=np.int64)
-        keys = np.array([m.exps for m in cols], dtype=np.int64) @ weights
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-    else:
-        index = {m.exps: i for i, m in enumerate(cols)}
-
-    jobs: list[tuple[int, Monomial]] = []
-    prepared = []
-    for j, f in enumerate(F.polys):
+    ncols = comb(n + d - 1, d)
+    # Degree-d monomials lead monomials_up_to(n, d), so the products'
+    # positions in it are their columns in this block.
+    index = MonomialIndex(n, d)
+    products = []  # per source: (columns of u*f_j, one row per u; coeffs)
+    for f in F.polys:
         if f.is_zero() or f.degree > d:
-            prepared.append(None)
             continue
-        if packable:
-            mat = np.array([m.exps for m, _ in f.terms], dtype=np.int64)
-            prepared.append((mat @ weights,
-                             np.array([c.value for _, c in f.terms],
-                                      dtype=np.float64)))
-        else:
-            prepared.append(([m.exps for m, _ in f.terms],
-                             [c.value for _, c in f.terms]))
-        for u in monomials_of_degree(n, d - f.degree):
-            jobs.append((j, u))
-    if not jobs:
+        k = d - f.degree
+        # The degree-k monomials, descending: the head of monomials_up_to.
+        mult_keys = monomial_keys_up_to(n, k)[:comb(n + k - 1, k)]
+        keys, coeffs = term_arrays(f)
+        products.append((index.product_positions(keys, mult_keys), coeffs))
+    if not products:
         return 0
+    # Jobs (j, u) in source order, then u in descending degrevlex.
+    counts = [len(cols) for cols, _ in products]
+    job_source = np.repeat(np.arange(len(products)), counts)
+    job_mult = np.concatenate([np.arange(c) for c in counts])
     # Deterministic shuffle so the rank saturates after roughly ncols rows
     # and the remaining rows can be skipped.
-    rng = np.random.default_rng(0x5EED ^ (len(jobs) << 16) ^ d)
-    perm = rng.permutation(len(jobs))
+    rng = np.random.default_rng(0x5EED ^ (len(job_source) << 16) ^ d)
+    perm = rng.permutation(len(job_source))
     eng = RowReducer(p, ncols, always_rref=False)
     block_rows = 512
     block = np.zeros((block_rows, ncols), dtype=eng.dtype)
-    filled = 0
-    for idx in perm:
-        j, u = jobs[int(idx)]
-        if packable:
-            tkeys, coeffs = prepared[j]
-            ucols = order[np.searchsorted(sorted_keys, tkeys + int(np.dot(
-                np.array(u.exps, dtype=np.int64), weights)))]
-            block[filled, ucols] = coeffs
-        else:
-            texps, coeffs = prepared[j]
-            for e, c in zip(texps, coeffs):
-                block[filled, index[tuple(a + b for a, b in zip(e, u.exps))]] = c
-        filled += 1
-        if filled == block_rows:
-            eng.add_rows(block)
-            block[:] = 0
-            filled = 0
-            if eng.rank == ncols:
-                return ncols
-    if filled:
-        eng.add_rows(block[:filled])
+    for lo in range(0, len(perm), block_rows):
+        chunk = perm[lo:lo + block_rows]
+        rows = block[:len(chunk)]
+        chunk_source = job_source[chunk]
+        for j, (cols, coeffs) in enumerate(products):
+            mine = np.flatnonzero(chunk_source == j)
+            rows[mine[:, None], cols[job_mult[chunk[mine]]]] = coeffs
+        eng.add_rows(rows)
+        rows[:] = 0
+        if eng.rank == ncols:
+            return ncols
     return eng.rank
 
 

@@ -419,24 +419,3 @@ def render_table_tsv(k_range: Sequence[int], n_range: Sequence[int],
     for k, row in zip(k_range, table):
         lines.append(str(k) + "\t" + "\t".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-# -- request container -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundRequest:
-    """A validated bound query: equation count, variables, degrees."""
-
-    m: int
-    n: int
-    degrees: tuple[int, ...]
-    homogeneous: bool = True
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
-        if len(self.degrees) != self.m:
-            raise ValueError("degree multiset size must equal m")
-        if any(d < 2 for d in self.degrees):
-            raise ValueError("degrees below 2 are eliminated before bounding")

@@ -88,44 +88,47 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return (f * uf) * g.leading_coefficient - (g * ug) * f.leading_coefficient
 
 
+def _skip_pair(i: int, j: int, lms: list[Monomial],
+               pairs: set[tuple[int, int]]) -> bool:
+    """True when the S-polynomial of pair (i, j) need not be reduced.
+
+    `lms` are the leading monomials and `pairs` the pairs not yet treated,
+    each stored as (larger index, smaller index).
+    """
+    lcm = lms[i].lcm(lms[j])
+    # Coprime leads: the S-polynomial reduces to zero automatically.
+    if lcm.degree == lms[i].degree + lms[j].degree:
+        return True
+    # Chain criterion: some third element divides the lcm and both side
+    # pairs have already been treated.
+    for k, lm in enumerate(lms):
+        if k in (i, j) or not lm.divides(lcm):
+            continue
+        if ((max(i, k), min(i, k)) not in pairs
+                and (max(j, k), min(j, k)) not in pairs):
+            return True
+    return False
+
+
 def buchberger(polys: list[Polynomial]) -> list[Polynomial]:
     """A Groebner basis (not reduced) of the given generators."""
     basis = [f.monic() for f in polys if not f.is_zero()]
     if not basis:
         return []
+    lms = [g.leading_monomial for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-
-    def lcm_of(i: int, j: int) -> Monomial:
-        return basis[i].leading_monomial.lcm(basis[j].leading_monomial)
-
     while pairs:
-        i, j = min(pairs, key=lambda ij: (lcm_of(*ij).sort_key(), ij))
+        i, j = min(pairs,
+                   key=lambda ij: (lms[ij[0]].lcm(lms[ij[1]]).sort_key(), ij))
         pairs.discard((i, j))
-        li = basis[i].leading_monomial
-        lj = basis[j].leading_monomial
-        lcm = li.lcm(lj)
-        # Coprime leads: the S-polynomial reduces to zero automatically.
-        if lcm.degree == li.degree + lj.degree:
-            continue
-        # Chain criterion: some third element divides the lcm and both
-        # side pairs have already been treated.
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if basis[k].leading_monomial.divides(lcm):
-                ik = (max(i, k), min(i, k))
-                jk = (max(j, k), min(j, k))
-                if ik not in pairs and jk not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if _skip_pair(i, j, lms, pairs):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         new = len(basis)
         basis.append(r.monic())
+        lms.append(basis[new].leading_monomial)
         pairs.update((new, t) for t in range(new))
     return basis
 
@@ -182,20 +185,7 @@ def is_groebner_basis(basis: list[Polynomial],
     order = sorted(pairs, key=lambda ij: (lms[ij[0]].lcm(lms[ij[1]]).sort_key(), ij))
     for i, j in order:
         pairs.discard((i, j))
-        lcm = lms[i].lcm(lms[j])
-        if lcm.degree == lms[i].degree + lms[j].degree:
-            continue
-        skip = False
-        for k in range(n):
-            if k in (i, j):
-                continue
-            if lms[k].divides(lcm):
-                ik = (max(i, k), min(i, k))
-                jk = (max(j, k), min(j, k))
-                if ik not in pairs and jk not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if _skip_pair(i, j, lms, pairs):
             continue
         if not normal_form(s_polynomial(gs[i], gs[j]), gs).is_zero():
             return False

@@ -24,7 +24,15 @@ from .bounds import Underdetermined, macaulay_bound
 from .field import FieldElement, PrimeField
 from .groebner import buchberger_oracle, is_groebner_basis, reduce_basis
 from .linalg import RowReducer
-from .poly import Monomial, PolySystem, Polynomial, monomials_up_to
+from .poly import (
+    Monomial,
+    MonomialIndex,
+    PolySystem,
+    Polynomial,
+    monomial_keys_up_to,
+    monomials_up_to,
+    term_arrays,
+)
 
 __all__ = [
     "MacaulayMatrix",
@@ -37,6 +45,9 @@ __all__ = [
     "solve",
     "buchberger_oracle",
 ]
+
+# Rows are fed to the eliminator in blocks of this many.
+_BLOCK_ROWS = 512
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -91,67 +102,9 @@ class MacaulayMatrix:
         return self.data.shape
 
 
-class _DegreeGrid:
-    """Column bookkeeping for one ambient degree.
-
-    Monomials are packed into integer keys (base d+1 positional code) so a
-    product u*m is just a key sum, and column lookup of a whole term array
-    is one vectorized binary search.
-    """
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.cols: tuple[Monomial, ...] = monomials_up_to(n, d)
-        self.ncols = len(self.cols)
-        base = d + 1
-        self.packable = base ** n < 2**62
-        if self.packable:
-            self._weights = np.array(
-                [base**i for i in range(n)], dtype=np.int64
-            )
-            keys = (
-                np.array([m.exps for m in self.cols], dtype=np.int64)
-                @ self._weights
-            )
-            self._order = np.argsort(keys)
-            self._sorted = keys[self._order]
-        else:
-            self._index = {m.exps: i for i, m in enumerate(self.cols)}
-
-    def key(self, exps: tuple[int, ...]) -> int:
-        return int(np.dot(np.array(exps, dtype=np.int64), self._weights))
-
-    def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._sorted, keys)
-        return self._order[pos]
-
-    def col_of(self, exps: tuple[int, ...]) -> int:
-        if self.packable:
-            return int(self.lookup_keys(np.array([self.key(exps)]))[0])
-        return self._index[exps]
-
-
-class _Source:
-    """A polynomial prepared for fast row building at one degree."""
-
-    def __init__(self, f: Polynomial, grid: _DegreeGrid):
-        self.degree = f.degree
-        if grid.packable:
-            mat = np.array([m.exps for m, _ in f.terms], dtype=np.int64)
-            self.keys = mat @ grid._weights
-        else:
-            self.exps = [m.exps for m, _ in f.terms]
-        self.coeffs = np.array([c.value for _, c in f.terms], dtype=np.float64)
-
-
-def _multipliers(n: int, dmax: int, include_one: bool) -> list[Monomial]:
-    """Monomials of degree <= dmax in ascending degrevlex."""
-    ms = list(monomials_up_to(n, dmax))
-    ms.reverse()
-    if not include_one:
-        ms = [m for m in ms if not m.is_one()]
-    return ms
+def _ascending_keys(n: int, k: int) -> np.ndarray:
+    """Keys of the monomials of degree <= k in ascending degrevlex."""
+    return monomial_keys_up_to(n, k)[::-1]
 
 
 class _Elimination:
@@ -162,18 +115,22 @@ class _Elimination:
         self.d = d
         self.p = p
         self.deadline = deadline
-        n = polys[0].nvars
-        self.grid = _DegreeGrid(n, d)
-        self.engine = RowReducer(p, self.grid.ncols, always_rref=True)
+        self.n = polys[0].nvars
+        self.index = MonomialIndex(self.n, d)
+        self.columns = monomials_up_to(self.n, d)
+        self.keys = monomial_keys_up_to(self.n, d)
+        self.engine = RowReducer(p, self.index.size, always_rref=True)
         self.tag_of_slot: dict[int, int] = {}
         self.rows_fed = 0
         self.fall_events = 0
-        self._buffer: list[tuple[np.ndarray, np.ndarray, int]] = []
+        self._block = np.zeros((_BLOCK_ROWS, self.index.size), dtype=np.float64)
+        self._tags = np.zeros(_BLOCK_ROWS, dtype=np.int64)
+        self._filled = 0
         self._seen_falls: set[bytes] = set()
         for f in polys:
-            src = _Source(f, self.grid)
-            for u in _multipliers(n, d - src.degree, include_one=True):
-                self._queue_product(src, u)
+            keys, coeffs = term_arrays(f)
+            self._queue_products(keys, coeffs,
+                                 _ascending_keys(self.n, d - f.degree))
         self._flush()
         self._chase_falls()
 
@@ -183,44 +140,43 @@ class _Elimination:
 
     # row building -----------------------------------------------------------
 
-    def _queue_product(self, src: _Source, u: Monomial) -> None:
-        grid = self.grid
-        if grid.packable:
-            ukey = grid.key(u.exps)
-            cols = grid.lookup_keys(src.keys + ukey)
-            tag = int(cols[0])
-        else:
-            cols = np.array(
-                [grid._index[tuple(a + b for a, b in zip(e, u.exps))]
-                 for e in src.exps],
-                dtype=np.intp,
-            )
-            tag = int(cols[0])
-        self._buffer.append((cols, src.coeffs, tag))
-        if len(self._buffer) >= 512:
-            self._flush()
+    def _queue_products(self, keys: np.ndarray, coeffs: np.ndarray,
+                        mult_keys: np.ndarray) -> None:
+        """Queue the rows u*f, u running over mult_keys in order.
+
+        Each row is tagged with its leading column; rows are fed to the
+        eliminator in blocks of _BLOCK_ROWS.
+        """
+        cols = self.index.product_positions(keys, mult_keys)
+        done = 0
+        while done < len(cols):
+            take = min(len(cols) - done, _BLOCK_ROWS - self._filled)
+            part = cols[done:done + take]
+            rows = slice(self._filled, self._filled + take)
+            np.put_along_axis(self._block[rows], part, coeffs[None], axis=1)
+            self._tags[rows] = part[:, 0]
+            self._filled += take
+            done += take
+            if self._filled == _BLOCK_ROWS:
+                self._flush()
 
     def _flush(self) -> None:
-        if not self._buffer:
+        if not self._filled:
             return
         self._check_deadline()
-        block = np.zeros((len(self._buffer), self.grid.ncols), dtype=np.float64)
-        tags = []
-        for i, (cols, coeffs, tag) in enumerate(self._buffer):
-            block[i, cols] = coeffs
-            tags.append(tag)
-        self._buffer.clear()
-        slots = self.engine.add_rows(block)
-        self.rows_fed += len(tags)
-        for slot, tag in zip(slots, tags):
+        filled = self._filled
+        slots = self.engine.add_rows(self._block[:filled])
+        self._block[:filled] = 0
+        self._filled = 0
+        self.rows_fed += filled
+        for slot, tag in zip(slots, self._tags[:filled].tolist()):
             if slot is not None:
                 self.tag_of_slot[slot] = tag
 
     # degree falls -----------------------------------------------------------
 
     def _chase_falls(self) -> None:
-        grid, engine, d = self.grid, self.engine, self.d
-        n = grid.n
+        engine, d = self.engine, self.d
         while True:
             self._check_deadline()
             before_rows = self.rows_fed
@@ -228,8 +184,8 @@ class _Elimination:
                 c = engine.pivot_cols[slot]
                 if c <= self.tag_of_slot[slot]:
                     continue  # leading term did not strictly drop
-                mono = grid.cols[c]
-                if mono.degree >= d:
+                degree = int(self.keys[c, -1])
+                if degree >= d:
                     continue
                 content = engine.pivot_row(slot)
                 fp = content.tobytes()
@@ -237,48 +193,35 @@ class _Elimination:
                     continue
                 self._seen_falls.add(fp)
                 self.fall_events += 1
-                fallen = _vector_source(content, grid)
-                for u in _multipliers(n, d - mono.degree, include_one=False):
-                    self._queue_product(fallen, u)
+                nz = np.flatnonzero(content)
+                # Multipliers of degree 1 .. d - degree: skip the unit.
+                self._queue_products(self.keys[nz], content[nz],
+                                     _ascending_keys(self.n, d - degree)[1:])
             self._flush()
             if self.rows_fed == before_rows:
                 return
 
 
-def _vector_source(content: np.ndarray, grid: _DegreeGrid) -> _Source:
-    """Wrap a reduced matrix row as a buildable source polynomial."""
-    src = _Source.__new__(_Source)
-    nz = np.nonzero(content)[0]
-    src.degree = grid.cols[int(nz[0])].degree
-    if grid.packable:
-        mat = np.array([grid.cols[int(i)].exps for i in nz], dtype=np.int64)
-        src.keys = mat @ grid._weights
-    else:
-        src.exps = [grid.cols[int(i)].exps for i in nz]
-    src.coeffs = content[nz].astype(np.float64)
-    return src
-
-
-def _vector_to_poly(content: np.ndarray, grid: _DegreeGrid,
+def _vector_to_poly(content: np.ndarray, columns: tuple[Monomial, ...],
                     fld: PrimeField) -> Polynomial:
     nz = np.nonzero(content)[0]
-    terms = [(grid.cols[int(i)], FieldElement(int(content[int(i)]), fld))
+    terms = [(columns[int(i)], FieldElement(int(content[int(i)]), fld))
              for i in nz]
-    return Polynomial(terms, grid.n, fld)
+    return Polynomial(terms, columns[0].nvars, fld)
 
 
 def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomial]:
     """Pivot rows with minimal leading terms, inter-reduced."""
-    engine, grid = elim.engine, elim.grid
+    engine, columns = elim.engine, elim.columns
     leads = sorted(
-        ((grid.cols[c], slot) for slot, c in enumerate(engine.pivot_cols)),
+        ((columns[c], slot) for slot, c in enumerate(engine.pivot_cols)),
         key=lambda t: t[0].sort_key(),
     )
     kept: list[tuple[Monomial, int]] = []
     for mono, slot in leads:
         if not any(km.divides(mono) for km, _ in kept):
             kept.append((mono, slot))
-    polys = [_vector_to_poly(engine.pivot_row(slot), grid, fld)
+    polys = [_vector_to_poly(engine.pivot_row(slot), columns, fld)
              for _, slot in kept]
     return reduce_basis(polys)
 
@@ -293,23 +236,24 @@ def build_matrix(F: PolySystem, d: int) -> MacaulayMatrix:
     if degs and d < max(degs):
         raise ValueError(f"degree {d} below the largest input degree {max(degs)}")
     n = F.ring.n
-    grid = _DegreeGrid(n, d)
+    index = MonomialIndex(n, d)
     mults: list[Monomial] = []
     sources: list[int] = []
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     for j, f in enumerate(polys):
         if f.is_zero():
             continue
-        for u in _multipliers(n, d - f.degree, include_one=True):
-            row = np.zeros(grid.ncols, dtype=np.int64)
-            for m, c in f.terms:
-                row[grid.col_of(m.mul(u).exps)] = c.value
-            mults.append(u)
-            sources.append(j)
-            rows.append(row)
-    data = (np.vstack(rows) if rows
-            else np.zeros((0, grid.ncols), dtype=np.int64))
-    return MacaulayMatrix(d, F.ring.modulus.p, grid.cols,
+        k = d - f.degree
+        keys, coeffs = term_arrays(f)
+        cols = index.product_positions(keys, _ascending_keys(n, k))
+        block = np.zeros((len(cols), index.size), dtype=np.int64)
+        np.put_along_axis(block, cols, coeffs[None], axis=1)
+        mults.extend(reversed(monomials_up_to(n, k)))
+        sources.extend([j] * len(cols))
+        blocks.append(block)
+    data = (np.vstack(blocks) if blocks
+            else np.zeros((0, index.size), dtype=np.int64))
+    return MacaulayMatrix(d, F.ring.modulus.p, monomials_up_to(n, d),
                           tuple(mults), tuple(sources), data)
 
 
@@ -376,7 +320,7 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
                 f"solve timed out at degree {d}", tuple(trace)
             ) from None
         trace.append(DegreeTrace(
-            degree=d, rows=elim.rows_fed, cols=elim.grid.ncols,
+            degree=d, rows=elim.rows_fed, cols=elim.index.size,
             rank=elim.engine.rank, degree_falls=elim.fall_events,
         ))
         if stop == "apriori":

@@ -1,11 +1,11 @@
 """Multivariate monomials, polynomials and systems under degrevlex.
 
-Exponent vectors are dense tuples (workloads here stay below ~30
-variables).  Polynomial terms are kept sorted in strictly descending
-degrevlex order so leading-term queries are O(1); addition merges sorted
-term lists.  The homogenization variable, when introduced, is always
-appended as the degrevlex-least variable, which is what makes saturation
-by it readable off a Groebner basis.
+Exponent vectors are dense tuples.  Polynomial terms are kept sorted in
+strictly descending degrevlex order so leading-term queries are O(1);
+addition merges sorted term lists.  The homogenization variable, when
+introduced, is always appended as the degrevlex-least variable, which is
+what makes saturation by it readable off a Groebner basis.  Column
+positions of monomials in the Macaulay matrices come from MonomialIndex.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
+
+import numpy as np
 
 from .field import FieldElement, PrimeField
 
@@ -119,6 +122,70 @@ def monomials_up_to(n: int, d: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def monomial_keys(monos: Iterable[Monomial]) -> np.ndarray:
+    """One row per monomial: the prefix sums R_i = e_0 + ... + e_i.
+
+    Keys add under multiplication, key(u*m) = key(u) + key(m), and the
+    last entry of a key is the monomial's degree.
+    """
+    exps = np.array([m.exps for m in monos], dtype=np.int64)
+    return np.cumsum(exps, axis=1)
+
+
+def term_arrays(f: "Polynomial") -> tuple[np.ndarray, np.ndarray]:
+    """Keys and integer coefficients of f's terms, in term order."""
+    return (monomial_keys(m for m, _ in f.terms),
+            np.array([c.value for _, c in f.terms], dtype=np.int64))
+
+
+@lru_cache(maxsize=128)
+def monomial_keys_up_to(n: int, d: int) -> np.ndarray:
+    """Keys of monomials_up_to(n, d), row for row (a read-only array)."""
+    keys = monomial_keys(monomials_up_to(n, d))
+    keys.setflags(write=False)
+    return keys
+
+
+class MonomialIndex:
+    """Degrevlex positions of the monomials of degree <= d in n variables.
+
+    The position of the monomial with key R in monomials_up_to(n, d) is
+
+        C(n + d, n) - 1 - sum_{i < n} C(R_i + i, i + 1),
+
+    its rank in the combinatorial number system.  That list starts with
+    the degree-d monomials, so for them the position is also the index in
+    monomials_of_degree(n, d).  The binomials come from one flattened
+    table with d + 1 entries per variable, and R_{n-1}, the degree, falls
+    in the last stretch: a key of degree above d indexes past the table
+    and raises IndexError instead of landing in a wrong column.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.size = comb(n + d, n)
+        self._table = np.array(
+            [comb(r + i, i + 1) for i in range(n) for r in range(d + 1)],
+            dtype=np.int64,
+        )
+        self._offsets = np.arange(n, dtype=np.int64) * (d + 1)
+
+    def product_positions(self, src_keys: np.ndarray,
+                          mult_keys: np.ndarray) -> np.ndarray:
+        """Positions of the products u*m of every multiplier u and term m.
+
+        Takes the keys of the terms m (rows of src_keys) and of the
+        multipliers u (rows of mult_keys); returns one row per multiplier
+        and one column per term.
+        """
+        out = np.full((len(mult_keys), len(src_keys)), self.size - 1,
+                      dtype=np.int64)
+        for i, offset in enumerate(self._offsets):
+            out -= self._table[(src_keys[:, i] + offset)
+                               + mult_keys[:, i, None]]
+        return out
+
+
 class Polynomial:
     """Terms sorted strictly descending in degrevlex, no zero coefficients.
 
@@ -152,7 +219,7 @@ class Polynomial:
         self.field = field
         self._hash = None
 
-    # --構造 queries ------------------------------------------------------
+    # -- structure queries --------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -318,7 +385,6 @@ class PolySystem:
 
     ring: PolynomialRing
     polys: tuple[Polynomial, ...]
-    asserted_generic_coordinates: bool = False
 
     def __post_init__(self) -> None:
         for f in self.polys:
@@ -386,18 +452,12 @@ def top_part(f: Polynomial) -> Polynomial:
 
 def homogenize_system(F: PolySystem, name: str | None = None) -> PolySystem:
     ring = F.ring.extend(name)
-    return PolySystem(
-        ring,
-        tuple(homogenize(f) for f in F.polys),
-        F.asserted_generic_coordinates,
-    )
+    return PolySystem(ring, tuple(homogenize(f) for f in F.polys))
 
 
 def top_system(F: PolySystem) -> PolySystem:
     return PolySystem(
-        F.ring,
-        tuple(top_part(f) for f in F.polys if not f.is_zero()),
-        F.asserted_generic_coordinates,
+        F.ring, tuple(top_part(f) for f in F.polys if not f.is_zero())
     )
 
 
@@ -461,4 +521,4 @@ def normalize_system(F: PolySystem) -> PolySystem:
             installed.append(f)
             break
 
-    return PolySystem(ring, tuple(installed), F.asserted_generic_coordinates)
+    return PolySystem(ring, tuple(installed))

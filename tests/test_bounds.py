@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from solvdeg.bounds import (
-    BoundRequest,
     OutOfRange,
     PreconditionViolated,
     TruncatedSeries,
@@ -276,13 +275,3 @@ def test_table_monotonicity_full_grid():
     for i in range(len(ks)):
         for j in range(len(ns) - 1):
             assert table[i][j] <= table[i][j + 1]
-
-
-def test_bound_request_validation():
-    BoundRequest(3, 2, (2, 2, 2))
-    with pytest.raises(ValueError):
-        BoundRequest(3, 2, (2, 2))
-    with pytest.raises(ValueError):
-        BoundRequest(2, 2, (2, 1))
-    with pytest.raises(ValueError):
-        BoundRequest(0, 2, ())

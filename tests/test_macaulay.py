@@ -20,7 +20,11 @@ from solvdeg import (
     solve,
 )
 from solvdeg.analyze import regularity_from_hilbert
-from solvdeg.presets import gap_quartic_system
+from solvdeg.presets import (
+    gap_quartic_system,
+    pair_product_system,
+    triple_product_system,
+)
 from solvdeg.randsys import random_system
 
 from conftest import oracle_rank
@@ -169,6 +173,16 @@ def test_solve_gap_system_exact():
     assert rep.solving_degree >= max(f.degree for f in gap.polys)
 
 
+@pytest.mark.parametrize("system, expected", [
+    (gap_quartic_system, (5, 2)),
+    (pair_product_system, (14, 8)),
+    (triple_product_system, (18, 5)),
+])
+def test_presets_solving_degree_and_basis_size(system, expected):
+    rep = solve(system())
+    assert (rep.solving_degree, len(rep.basis)) == expected
+
+
 def test_solve_determinism_byte_identical():
     gap = gap_quartic_system()
     def dump(rep):
@@ -285,7 +299,6 @@ def test_generic_homogeneous_sd_at_most_regularity():
         n = 3
         F = random_system(7919, n, [2] * (n + 2), seed=300 + seed,
                           homogeneous=True)
-        F = PolySystem(F.ring, F.polys, asserted_generic_coordinates=True)
         reg = regularity_from_hilbert(F)
         rep = solve(F)
         assert rep.solving_degree <= reg

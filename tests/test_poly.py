@@ -22,6 +22,7 @@ from solvdeg import (
     normalize_system,
     top_part,
 )
+from solvdeg.poly import MonomialIndex, monomial_keys
 from solvdeg.randsys import random_polynomial
 
 from conftest import oracle_rank
@@ -90,6 +91,42 @@ def test_monomials_up_to_counts():
             # strictly descending
             for a, b in zip(ms, ms[1:]):
                 assert degrevlex_cmp(a, b) == 1
+
+
+def _ranks(index, monos):
+    """Positions of monos under index, as products with the unit monomial."""
+    one = monomial_keys([Monomial((0,) * index.n)])
+    return index.product_positions(monomial_keys(monos), one)[0].tolist()
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 6), (3, 18), (6, 4), (6, 5),
+                                  (10, 6), (32, 3)])
+def test_monomial_index_matches_enumeration(n, d):
+    index = MonomialIndex(n, d)
+    up_to = monomials_up_to(n, d)
+    assert index.size == len(up_to)
+    assert _ranks(index, up_to) == list(range(len(up_to)))
+    graded = monomials_of_degree(n, d)
+    assert _ranks(index, graded) == list(range(len(graded)))
+
+
+def test_monomial_index_products():
+    n, d = 3, 5
+    index = MonomialIndex(n, d)
+    col = {m.exps: i for i, m in enumerate(monomials_up_to(n, d))}
+    terms = monomials_up_to(n, 3)
+    mults = monomials_up_to(n, 2)
+    got = index.product_positions(monomial_keys(terms), monomial_keys(mults))
+    assert got.tolist() == [[col[m.mul(u).exps] for m in terms]
+                            for u in mults]
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (3, 4), (32, 3)])
+def test_monomial_index_rejects_degree_above_d(n, d):
+    index = MonomialIndex(n, d)
+    for mono in monomials_of_degree(n, d + 1):
+        with pytest.raises(IndexError):
+            _ranks(index, [mono])
 
 
 def test_monomial_algebra():
@@ -270,7 +307,6 @@ def test_system_flags(ring_xy):
     assert hom.is_homogeneous
     inhom = PolySystem(ring_xy, (ring_xy.poly({(2, 0): 1, (0, 0): 2}),))
     assert not inhom.is_homogeneous
-    assert inhom.asserted_generic_coordinates is False
 
 
 def test_ring_validation():

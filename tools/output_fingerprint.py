@@ -1,0 +1,100 @@
+"""Serialise the solver's observable output, to compare two checkouts.
+
+Writes one JSON file holding, for the gap, pair and triple presets and
+the 120-system corpus of the `small-solve` benchmark workload, the
+per-degree trace (degree, rows, cols, rank, degree_falls), the solving
+degree and the reduced basis; the `build_matrix` data, multipliers,
+sources and columns for every 7th corpus system; and the Hilbert
+profiles of the six `semireg-sweep` systems.  It prints the SHA-256 of
+the JSON.  A refactor that must not change results gives the same digest
+on both checkouts:
+
+    PYTHONPATH=<old checkout>/src python tools/output_fingerprint.py old.json
+    PYTHONPATH=src python tools/output_fingerprint.py new.json
+    cmp old.json new.json
+
+The triple preset dominates the run time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+
+from solvdeg import build_matrix, solve
+from solvdeg.analyze import hilbert_function_profile
+from solvdeg.presets import (
+    gap_quartic_system,
+    pair_product_system,
+    triple_product_system,
+)
+from solvdeg.randsys import random_system
+
+
+def _solve_record(F) -> dict | str:
+    try:
+        rep = solve(F)
+    except Exception as exc:  # a failure is part of the output to compare
+        return repr(exc)
+    return {
+        "trace": [[t.degree, t.rows, t.cols, t.rank, t.degree_falls]
+                  for t in rep.trace],
+        "solving_degree": rep.solving_degree,
+        "basis": [[(list(m.exps), c.value) for m, c in g.terms]
+                  for g in rep.basis],
+    }
+
+
+def _small_solve_corpus() -> list:
+    """The `small-solve` workload's systems, generated the same way."""
+    rng = random.Random(20240808)
+    systems = []
+    for i in range(120):
+        p = (2, 7, 101)[i % 3] if i < 100 else 2**31 - 1
+        n = (1, 2, 3)[(i // 3) % 3]
+        m = n + (i % 3)
+        degrees = [rng.choice((2, 3)) for _ in range(max(m, 1))]
+        systems.append(random_system(p, n, degrees, seed=5000 + i))
+    return systems
+
+
+def fingerprint() -> dict:
+    out = {}
+    for label, F in [("gap", gap_quartic_system()),
+                     ("pair", pair_product_system()),
+                     ("triple", triple_product_system())]:
+        out[label] = _solve_record(F)
+    for i, F in enumerate(_small_solve_corpus()):
+        out[f"small{i}"] = _solve_record(F)
+        if i % 7 == 0:
+            M = build_matrix(F, max(F.degrees) + 1)
+            out[f"build_matrix{i}"] = [
+                hashlib.sha256(M.data.tobytes()).hexdigest(),
+                [list(m.exps) for m in M.multipliers],
+                list(M.sources),
+                [list(m.exps) for m in M.columns],
+            ]
+    for n in (6, 8, 10):
+        for s in (0, 1):
+            F = random_system(7919, n, [2] * (n + 2),
+                              seed=7000 + 100 * n + s, homogeneous=True)
+            out[f"hilbert{n}_{s}"] = list(
+                hilbert_function_profile(F, 6 if n == 10 else 5))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__)
+        return 2
+    text = json.dumps(fingerprint(), sort_keys=True)
+    with open(argv[1], "w") as f:
+        f.write(text)
+    print(hashlib.sha256(text.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
