@@ -26,7 +26,6 @@ from .poly import (
     homogenize_system,
     monomials_of_degree,
     monomials_up_to,
-    normalize_system,
     top_part,
     top_system,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
 from .groebner import normal_form
-from .linalg import RowReducer
+from .linalg import BLOCK_ROWS, RowReducer
 from .macaulay import solve
 from .poly import (
     Monomial,
@@ -97,10 +97,9 @@ def _graded_rank(F: PolySystem, d: int) -> int:
     rng = np.random.default_rng(0x5EED ^ (len(job_source) << 16) ^ d)
     perm = rng.permutation(len(job_source))
     eng = RowReducer(p, ncols, always_rref=False)
-    block_rows = 512
-    block = np.zeros((block_rows, ncols), dtype=eng.dtype)
-    for lo in range(0, len(perm), block_rows):
-        chunk = perm[lo:lo + block_rows]
+    block = np.zeros((BLOCK_ROWS, ncols), dtype=eng.dtype)
+    for lo in range(0, len(perm), BLOCK_ROWS):
+        chunk = perm[lo:lo + BLOCK_ROWS]
         rows = block[:len(chunk)]
         chunk_source = job_source[chunk]
         for j, (cols, coeffs) in enumerate(products):
@@ -145,15 +144,8 @@ def degree_of_regularity(F: PolySystem, cap: int | None = None) -> float:
     Works for homogeneous and inhomogeneous systems alike (a homogeneous
     system is its own top part).
     """
-    if not F.nonzero():
-        return math.inf
-    T = top_system(F)
-    if cap is None:
-        cap = _default_cap(T.degrees, T.ring.n)
-    for d in range(cap + 1):
-        if hilbert_function(T, d) == 0:
-            return d
-    return math.inf
+    _, witness = is_artinian(top_system(F), cap)
+    return math.inf if witness is None else witness
 
 
 def is_artinian(F: PolySystem, cap: int | None = None) -> tuple[bool, int | None]:

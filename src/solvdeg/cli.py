@@ -234,44 +234,58 @@ def _degrees_arg(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x.strip()]
 
 
-def _cmd_bound(args) -> int:
-    kinds = [k for k in ("macaulay", "semiregular", "closed_form", "aci",
-                         "larger_m", "inhomogeneous", "egh", "egh_inhomog",
-                         "weil", "weil_inhomog")
-             if getattr(args, k)]
-    if len(kinds) != 1:
-        print("bound: choose exactly one bound kind", file=sys.stderr)
-        return 2
-    kind = kinds[0]
-    degrees = None
+# Bound kinds: flag, the arguments the bound needs besides -n, and the
+# bound.  "degrees" is --degrees, or -d repeated -m (else n + k) times.
+_BOUNDS = (
+    ("--macaulay", ("degrees",), lambda a: macaulay_bound(a.n, a.degrees)),
+    ("--semiregular", ("degrees",),
+     lambda a: regularity_from_series(a.n, a.degrees)),
+    ("--closed-form", ("m",), lambda a: quadratic_regularity(a.m, a.n)),
+    ("--aci", ("degrees",), lambda a: aci_bound(a.n, a.degrees)),
+    ("--larger-m", ("d",), lambda a: many_equations_bound(a.n, a.d)),
+    ("--inhomogeneous", ("m", "degrees"),
+     lambda a: inhomogeneous_bound(a.m, a.n, a.degrees)),
+    ("--egh", ("m",), lambda a: egh_bound(a.m, a.n)),
+    ("--egh-inhomog", ("m",), lambda a: egh_bound_inhomogeneous(a.m, a.n)),
+    ("--weil", ("d", "ell"), lambda a: egh_bound_weil(a.n, a.d, a.ell)),
+    ("--weil-inhomog", ("d", "ell"),
+     lambda a: egh_bound_weil_inhomogeneous(a.n, a.d, a.ell)),
+)
+_ARG_FLAGS = {"m": "-m", "d": "-d", "ell": "--ell",
+              "degrees": "--degrees (or -d with -m or -k)"}
+
+
+def _bound_degrees(args) -> list[int] | None:
     if args.degrees:
-        degrees = _degrees_arg(args.degrees)
-    elif args.d is not None and args.m is not None:
-        degrees = [args.d] * args.m
-    if kind == "macaulay":
-        value = macaulay_bound(args.n, degrees)
-    elif kind == "semiregular":
-        if degrees is None:
-            degrees = [args.d] * (args.n + args.k)
-        value = regularity_from_series(args.n, degrees)
-    elif kind == "closed_form":
-        value = quadratic_regularity(args.m, args.n)
-    elif kind == "aci":
-        value = aci_bound(args.n, degrees)
-    elif kind == "larger_m":
-        value = many_equations_bound(args.n, args.d)
-    elif kind == "inhomogeneous":
-        value = inhomogeneous_bound(args.m, args.n, degrees)
-    elif kind == "egh":
-        value = egh_bound(args.m, args.n)
-    elif kind == "egh_inhomog":
-        value = egh_bound_inhomogeneous(args.m, args.n)
-    elif kind == "weil":
-        value = egh_bound_weil(args.n, args.d, args.ell)
-    else:
-        value = egh_bound_weil_inhomogeneous(args.n, args.d, args.ell)
-    result = {"kind": kind, "value": value,
-              "m": args.m, "n": args.n, "degrees": degrees}
+        return _degrees_arg(args.degrees)
+    if args.d is None:
+        return None
+    if args.m is not None:
+        return [args.d] * args.m
+    if args.k is not None:
+        return [args.d] * (args.n + args.k)
+    return None
+
+
+def _kind(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _cmd_bound(args) -> int:
+    chosen = [b for b in _BOUNDS if getattr(args, _kind(b[0]))]
+    if len(chosen) != 1:
+        _error(args, "bound: choose exactly one bound kind", code=2)
+        return 2
+    flag, needs, bound = chosen[0]
+    args.degrees = _bound_degrees(args)
+    missing = [_ARG_FLAGS[name] for name in needs
+               if getattr(args, name) is None]
+    if missing:
+        _error(args, f"bound {flag} needs {', '.join(missing)}", code=2)
+        return 2
+    value = bound(args)
+    result = {"kind": _kind(flag), "value": value,
+              "m": args.m, "n": args.n, "degrees": args.degrees}
     _emit(_document("bound", result), args, f"{value}\n")
     return 0
 
@@ -290,7 +304,6 @@ def _cmd_solve(args) -> int:
     if args.max_degree is not None:
         kw["max_degree"] = args.max_degree
     if args.apriori is not None:
-        kw["stop"] = "apriori"
         kw["apriori_bound"] = args.apriori
     if args.timeout_secs is not None:
         kw["timeout"] = args.timeout_secs
@@ -386,16 +399,12 @@ def main(argv: list[str] | None = None) -> int:
 
     b = sub.add_parser("bound", help="closed-form and series bound queries")
     common(b)
-    for flag, dest in [("--macaulay", "macaulay"), ("--semiregular", "semiregular"),
-                       ("--closed-form", "closed_form"), ("--aci", "aci"),
-                       ("--larger-m", "larger_m"),
-                       ("--inhomogeneous", "inhomogeneous"),
-                       ("--egh", "egh"), ("--egh-inhomog", "egh_inhomog"),
-                       ("--weil", "weil"), ("--weil-inhomog", "weil_inhomog")]:
-        b.add_argument(flag, dest=dest, action="store_true")
+    for flag, _, _ in _BOUNDS:
+        b.add_argument(flag, action="store_true")
     b.add_argument("-m", type=int, default=None)
     b.add_argument("-n", type=int, required=True)
-    b.add_argument("-k", type=int, default=None)
+    b.add_argument("-k", type=int, default=None,
+                   help="m - n, for the degree list when -m is not given")
     b.add_argument("-d", type=int, default=None)
     b.add_argument("--ell", type=int, default=None,
                    help="independent quadric count for the descent bounds")

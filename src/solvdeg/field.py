@@ -65,24 +65,6 @@ class PrimeField:
         for v in range(self.p):
             yield FieldElement(v, self)
 
-    def inv(self, value: int) -> int:
-        """Inverse of a residue by the extended Euclidean algorithm.
-
-        Deterministic and uniform in the characteristic (no special case
-        for p = 2), unlike Fermat exponentiation.
-        """
-        a = value % self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
-        # Invariants: old_r = old_s*p + old_t*a  (old_t tracked only).
-        old_r, r = self.p, a
-        old_t, t = 0, 1
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_t, t = t, old_t - q * t
-        return old_t % self.p
-
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
@@ -157,10 +139,13 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, e: int):
+        """Power mod p; a negative exponent is a power of the inverse."""
+        if e < 0 and self.value == 0:
+            raise ZeroDivisionError(f"inverse of zero in GF({self.field.p})")
         return FieldElement(pow(self.value, e, self.field.p), self.field)
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
+        return self ** -1
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -110,26 +110,43 @@ def _skip_pair(i: int, j: int, lms: list[Monomial],
     return False
 
 
-def buchberger(polys: list[Polynomial]) -> list[Polynomial]:
-    """A Groebner basis (not reduced) of the given generators."""
-    basis = [f.monic() for f in polys if not f.is_zero()]
-    if not basis:
-        return []
+def _new_elements(basis: list[Polynomial]):
+    """Treat every S-pair of `basis`; yield each element the pairs add.
+
+    Pairs are taken by smallest lcm, ties by index, from a heap keyed
+    once per pair, and pruned by _skip_pair.  A nonzero remainder is
+    appended to `basis` (monic), its pairs are queued, and it is yielded.
+    """
     lms = [g.leading_monomial for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        i, j = min(pairs,
-                   key=lambda ij: (lms[ij[0]].lcm(lms[ij[1]]).sort_key(), ij))
+    pairs: set[tuple[int, int]] = set()
+    heap: list[tuple] = []
+
+    def queue(i: int) -> None:
+        for j in range(i):
+            pairs.add((i, j))
+            heapq.heappush(heap, (lms[i].lcm(lms[j]).sort_key(), (i, j)))
+
+    for i in range(len(basis)):
+        queue(i)
+    while heap:
+        _, (i, j) = heapq.heappop(heap)
         pairs.discard((i, j))
         if _skip_pair(i, j, lms, pairs):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        new = len(basis)
         basis.append(r.monic())
-        lms.append(basis[new].leading_monomial)
-        pairs.update((new, t) for t in range(new))
+        lms.append(r.leading_monomial)
+        queue(len(basis) - 1)
+        yield basis[-1]
+
+
+def buchberger(polys: list[Polynomial]) -> list[Polynomial]:
+    """A Groebner basis (not reduced) of the given generators."""
+    basis = [f.monic() for f in polys if not f.is_zero()]
+    for _ in _new_elements(basis):
+        pass
     return basis
 
 
@@ -167,26 +184,12 @@ def is_groebner_basis(basis: list[Polynomial],
                       generators: list[Polynomial] | None = None) -> bool:
     """Verify the Buchberger criterion by explicit division.
 
-    Pairs are pruned with the coprime-lead and chain criteria (the same
-    treated-pair bookkeeping as the construction loop, which keeps the
-    pruning sound).  With `generators` given, also checks that every
-    generator reduces to zero against the basis.
+    The pair loop of the construction runs on the basis and must add
+    nothing.  With `generators` given, also checks that every generator
+    reduces to zero against the basis.
     """
     gs = [g for g in basis if not g.is_zero()]
-    if not gs:
-        return generators is None or all(f.is_zero() for f in generators)
-    if generators is not None:
-        for f in generators:
-            if not normal_form(f, gs).is_zero():
-                return False
-    n = len(gs)
-    lms = [g.leading_monomial for g in gs]
-    pairs = {(i, j) for i in range(n) for j in range(i)}
-    order = sorted(pairs, key=lambda ij: (lms[ij[0]].lcm(lms[ij[1]]).sort_key(), ij))
-    for i, j in order:
-        pairs.discard((i, j))
-        if _skip_pair(i, j, lms, pairs):
-            continue
-        if not normal_form(s_polynomial(gs[i], gs[j]), gs).is_zero():
-            return False
-    return True
+    if generators is not None and any(
+            not normal_form(f, gs).is_zero() for f in generators):
+        return False
+    return next(_new_elements(gs), None) is None

@@ -23,6 +23,8 @@ import numpy as np
 _FLOAT_EXACT = 2**53
 _INT_SAFE = 2**62
 _LEAF = 32
+# Rows are eliminated, and fed by the row builders, in blocks of this many.
+BLOCK_ROWS = 512
 
 
 def _float_ok(p: int, inner: int) -> bool:
@@ -94,11 +96,9 @@ def _sub_matmul_mod(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None
 class RowReducer:
     """Incremental no-swap row reduction over GF(p)."""
 
-    def __init__(self, p: int, ncols: int, always_rref: bool = True,
-                 batch: int = 512):
+    def __init__(self, p: int, ncols: int, always_rref: bool = True):
         self.p = p
         self.ncols = ncols
-        self.batch = batch
         self.always_rref = always_rref
         self.dtype = np.float64 if _float_ok(p, ncols) else np.int64
         # Deferral of mod inside a leaf accumulates up to _LEAF products.
@@ -110,7 +110,6 @@ class RowReducer:
         self.pivot_cols: list[int] = []
         self._pc_arr = np.zeros(0, dtype=np.intp)
         self._blocks: list[tuple[int, int]] = []
-        self.rows_seen = 0
 
     @property
     def rank(self) -> int:
@@ -149,8 +148,8 @@ class RowReducer:
     def add_rows(self, rows: np.ndarray) -> list[int | None]:
         """Feed rows; returns one pivot slot id (or None) per input row."""
         out: list[int | None] = []
-        for lo in range(0, rows.shape[0], self.batch):
-            out.extend(self._add_batch(rows[lo : lo + self.batch]))
+        for lo in range(0, rows.shape[0], BLOCK_ROWS):
+            out.extend(self._add_batch(rows[lo : lo + BLOCK_ROWS]))
         return out
 
     def _cascade(self, B: np.ndarray) -> None:
@@ -164,7 +163,6 @@ class RowReducer:
     def _add_batch(self, rows: np.ndarray) -> list[int | None]:
         B = np.array(rows, dtype=self.dtype)
         mod_p(B, self.p)
-        self.rows_seen += B.shape[0]
         before = self.rank
         self._cascade(B)
         slots = self._process_new(B)

@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import Underdetermined, macaulay_bound
 from .field import FieldElement, PrimeField
 from .groebner import buchberger_oracle, is_groebner_basis, reduce_basis
-from .linalg import RowReducer
+from .linalg import BLOCK_ROWS, RowReducer
 from .poly import (
     Monomial,
     MonomialIndex,
@@ -45,10 +45,6 @@ __all__ = [
     "solve",
     "buchberger_oracle",
 ]
-
-# Rows are fed to the eliminator in blocks of this many.
-_BLOCK_ROWS = 512
-
 
 class DegreeCapExceeded(RuntimeError):
     """The degree cap was reached without finding a Groebner basis."""
@@ -123,8 +119,8 @@ class _Elimination:
         self.tag_of_slot: dict[int, int] = {}
         self.rows_fed = 0
         self.fall_events = 0
-        self._block = np.zeros((_BLOCK_ROWS, self.index.size), dtype=np.float64)
-        self._tags = np.zeros(_BLOCK_ROWS, dtype=np.int64)
+        self._block = np.zeros((BLOCK_ROWS, self.index.size), dtype=np.float64)
+        self._tags = np.zeros(BLOCK_ROWS, dtype=np.int64)
         self._filled = 0
         self._seen_falls: set[bytes] = set()
         for f in polys:
@@ -145,19 +141,19 @@ class _Elimination:
         """Queue the rows u*f, u running over mult_keys in order.
 
         Each row is tagged with its leading column; rows are fed to the
-        eliminator in blocks of _BLOCK_ROWS.
+        eliminator in blocks of BLOCK_ROWS.
         """
         cols = self.index.product_positions(keys, mult_keys)
         done = 0
         while done < len(cols):
-            take = min(len(cols) - done, _BLOCK_ROWS - self._filled)
+            take = min(len(cols) - done, BLOCK_ROWS - self._filled)
             part = cols[done:done + take]
             rows = slice(self._filled, self._filled + take)
             np.put_along_axis(self._block[rows], part, coeffs[None], axis=1)
             self._tags[rows] = part[:, 0]
             self._filled += take
             done += take
-            if self._filled == _BLOCK_ROWS:
+            if self._filled == BLOCK_ROWS:
                 self._flush()
 
     def _flush(self) -> None:
@@ -276,28 +272,24 @@ def rref_no_swap(M: MacaulayMatrix) -> MacaulayMatrix:
 
 
 def solve(F: PolySystem, *, max_degree: int | None = None,
-          stop: str = "spair_check", apriori_bound: int | None = None,
+          apriori_bound: int | None = None,
           timeout: float | None = None) -> SolveReport:
     """Run the degree-by-degree elimination until a basis is certified.
 
-    stop="spair_check" (default): at each degree, extract the candidate
-    basis and certify it by S-polynomial division plus membership of the
-    inputs.  stop="apriori": run the elimination up to `apriori_bound`
-    and return that degree's basis without certification.
+    At each degree, extract the candidate basis and certify it by
+    S-polynomial division plus membership of the inputs.  With
+    `apriori_bound` given, run the elimination up to that degree instead
+    and return its basis without certification.
     """
     polys = [f for f in F.polys if not f.is_zero()]
     if not polys:
         raise ValueError("cannot solve a system with no nonzero polynomials")
-    if stop not in ("spair_check", "apriori"):
-        raise ValueError(f"unknown stopping criterion {stop!r}")
     p = F.ring.modulus.p
     fld = F.ring.modulus
     d0 = max(f.degree for f in polys)
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    if stop == "apriori":
-        if apriori_bound is None:
-            raise ValueError("apriori mode needs apriori_bound")
+    if apriori_bound is not None:
         if apriori_bound < d0:
             raise ValueError("apriori bound below the largest input degree")
         end = apriori_bound
@@ -323,26 +315,22 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
             degree=d, rows=elim.rows_fed, cols=elim.index.size,
             rank=elim.engine.rank, degree_falls=elim.fall_events,
         ))
-        if stop == "apriori":
-            if d == end:
-                basis = _extract_reduced_basis(elim, fld)
-                return SolveReport(
-                    basis=tuple(basis),
-                    solving_degree=d,
-                    max_gb_degree=max(g.degree for g in basis),
-                    trace=tuple(trace),
-                    stop_reason="apriori_bound",
-                )
+        if apriori_bound is not None and d < end:
             continue
         basis = _extract_reduced_basis(elim, fld)
-        if is_groebner_basis(basis, polys):
-            return SolveReport(
-                basis=tuple(basis),
-                solving_degree=d,
-                max_gb_degree=max(g.degree for g in basis),
-                trace=tuple(trace),
-                stop_reason="spair_check",
-            )
+        if apriori_bound is not None:
+            stop_reason = "apriori_bound"
+        elif is_groebner_basis(basis, polys):
+            stop_reason = "spair_check"
+        else:
+            continue
+        return SolveReport(
+            basis=tuple(basis),
+            solving_degree=d,
+            max_gb_degree=max(g.degree for g in basis),
+            trace=tuple(trace),
+            stop_reason=stop_reason,
+        )
     raise DegreeCapExceeded(
         f"no Groebner basis found through degree {end}", tuple(trace)
     )

@@ -249,12 +249,6 @@ class Polynomial:
         d = self.terms[0][0].degree
         return all(m.degree == d for m, _ in self.terms)
 
-    def coefficient(self, mono: Monomial) -> FieldElement:
-        for m, c in self.terms:
-            if m.exps == mono.exps:
-                return c
-        return self.field.zero()
-
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, terms) -> "Polynomial":
@@ -346,17 +340,6 @@ class PolynomialRing:
 
     def zero(self) -> Polynomial:
         return Polynomial([], self.n, self.modulus)
-
-    def constant(self, c: int) -> Polynomial:
-        one = Monomial((0,) * self.n)
-        return Polynomial([(one, self.modulus(c))], self.n, self.modulus)
-
-    def variable(self, i: int) -> Polynomial:
-        exps = [0] * self.n
-        exps[i] = 1
-        return Polynomial(
-            [(Monomial(tuple(exps)), self.modulus(1))], self.n, self.modulus
-        )
 
     def poly(self, coeffs: dict[tuple[int, ...], int]) -> Polynomial:
         """Build a polynomial from {exponent tuple: integer coefficient}."""
@@ -477,48 +460,3 @@ def field_equations(ring: PolynomialRing, q: int | None = None) -> list[Polynomi
         out.append(ring.poly({tuple(hi): 1, tuple(lo): -1}))
     return out
 
-
-# -- normalization -----------------------------------------------------------
-
-
-def normalize_system(F: PolySystem) -> PolySystem:
-    """Equivalent system whose top parts are linearly independent.
-
-    Gaussian elimination runs on the top-part coefficient rows; the full
-    combination is subtracted from the full polynomial, and a remainder
-    whose degree dropped is re-processed at its new degree.  A nonzero
-    constant remainder proves inconsistency and collapses the system to
-    the marker {1}.  Degree <= 1 polynomials are kept, never used for
-    variable elimination.
-    """
-    ring = F.ring
-    # Echelon rows per degree: lead exponent tuple -> installed polynomial.
-    echelon: dict[int, dict[tuple[int, ...], Polynomial]] = {}
-    installed: list[Polynomial] = []
-
-    work = list(F.polys)
-    work.reverse()  # treat as a stack, preserving input order
-    while work:
-        f = work.pop()
-        while not f.is_zero():
-            d = f.degree
-            if d == 0:
-                # Nonzero constant: the ideal is the whole ring.
-                return PolySystem(ring, (ring.constant(1),))
-            rows = echelon.setdefault(d, {})
-            top_terms = [(m, c) for m, c in f.terms if m.degree == d]
-            reduced = False
-            for m, c in top_terms:
-                g = rows.get(m.exps)
-                if g is not None and g.leading_monomial.exps == m.exps:
-                    f = f - g * (c / g.leading_coefficient)
-                    reduced = True
-                    break
-            if reduced:
-                continue
-            # Top part has a lead not yet in the echelon: install.
-            rows[f.leading_monomial.exps] = f
-            installed.append(f)
-            break
-
-    return PolySystem(ring, tuple(installed))

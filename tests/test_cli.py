@@ -107,6 +107,7 @@ def test_bound_other_kinds(capsys):
         (["bound", "--inhomogeneous", "-m", "7", "-n", "6", "-d", "2"], "8"),
         (["bound", "--egh-inhomog", "-m", "12", "-n", "10"], "11"),
         (["bound", "--weil", "-n", "2", "-d", "3", "--ell", "15"], "5"),
+        (["bound", "--weil-inhomog", "-n", "2", "-d", "3", "--ell", "15"], "9"),
     ]
     for args, expect in cases:
         code, out, _ = run_cli(args, capsys)
@@ -126,6 +127,28 @@ def test_bound_json_document(capsys):
 def test_bound_usage_error(capsys):
     code, _, err = run_cli(["bound", "-n", "5"], capsys)
     assert code == 2
+
+
+MISSING_ARGUMENT = [
+    (["--macaulay", "-n", "3"], "--degrees"),
+    (["--semiregular", "-n", "10"], "--degrees"),
+    (["--closed-form", "-n", "10"], "-m"),
+    (["--aci", "-n", "9"], "--degrees"),
+    (["--larger-m", "-n", "7"], "-d"),
+    (["--inhomogeneous", "-n", "6", "--degrees", "2,2,2,2,2,2,2"], "-m"),
+    (["--egh", "-n", "10"], "-m"),
+    (["--egh-inhomog", "-n", "10"], "-m"),
+    (["--weil", "-n", "2", "-d", "3"], "--ell"),
+    (["--weil-inhomog", "-n", "2", "--ell", "15"], "-d"),
+]
+
+
+@pytest.mark.parametrize("args, flag", MISSING_ARGUMENT,
+                         ids=[args[0] for args, _ in MISSING_ARGUMENT])
+def test_bound_missing_argument_exit_2(args, flag, capsys):
+    code, out, err = run_cli(["bound"] + args, capsys)
+    assert code == 2 and out == ""
+    assert f"bound {args[0]} needs {flag}" in err
 
 
 def test_bound_domain_error_exit_2(capsys):

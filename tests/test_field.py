@@ -101,6 +101,11 @@ def test_pow():
     F = PrimeField(13)
     assert (F(2) ** 12).value == 1
     assert (F(2) ** -1) == F(2).inverse()
+    assert (F(2) ** -2) == F(2).inverse() * F(2).inverse()
+    # Zero has no inverse, whichever way it is asked for.
+    for invert in (lambda z: z ** -1, lambda z: z.inverse(), lambda z: 1 / z):
+        with pytest.raises(ZeroDivisionError):
+            invert(F(0))
 
 
 def test_hash_and_bool():

@@ -17,6 +17,14 @@ def random_low_rank(rng, p, rows, cols):
     return np.array(((A @ B) % p).tolist(), dtype=np.int64)
 
 
+def feed(eng, rows, chunk):
+    """add_rows in chunks of `chunk` rows; returns the slots of all rows."""
+    slots = []
+    for lo in range(0, len(rows), chunk):
+        slots.extend(eng.add_rows(rows[lo : lo + chunk]))
+    return slots
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_matches_oracle(p):
     rng = np.random.default_rng(p)
@@ -26,8 +34,8 @@ def test_rank_matches_oracle(p):
         M = random_low_rank(rng, p, rows, cols)
         expected = oracle_rank(M.tolist(), p)
         assert rank_mod_p(M, p) == expected
-        eng = RowReducer(p, cols, always_rref=True, batch=16)
-        eng.add_rows(M)
+        eng = RowReducer(p, cols, always_rref=True)
+        feed(eng, M, 16)
         assert eng.rank == expected
 
 
@@ -38,8 +46,8 @@ def test_rref_content_is_canonical(p):
         rows = int(rng.integers(1, 40))
         cols = int(rng.integers(1, 30))
         M = random_low_rank(rng, p, rows, cols)
-        eng = RowReducer(p, cols, always_rref=True, batch=8)
-        eng.add_rows(M)
+        eng = RowReducer(p, cols, always_rref=True)
+        feed(eng, M, 8)
         got = {tuple(int(v) for v in eng.pivot_row(s)) for s in range(eng.rank)}
         assert got == oracle_rref_rows(M.tolist(), p)
 
@@ -48,8 +56,8 @@ def test_rref_structure_and_membership():
     p = 7
     rng = np.random.default_rng(42)
     M = rng.integers(0, p, (45, 25))
-    eng = RowReducer(p, 25, always_rref=True, batch=7)
-    slots = eng.add_rows(M)
+    eng = RowReducer(p, 25, always_rref=True)
+    slots = feed(eng, M, 7)
     P = eng.pivot_rows()
     pc = eng.pivot_cols
     # pivot columns form an identity across pivot rows
@@ -70,14 +78,43 @@ def test_incremental_feeding_matches_bulk():
     M = random_low_rank(rng, p, 60, 35)
     bulk = RowReducer(p, 35)
     bulk.add_rows(M)
-    inc = RowReducer(p, 35, batch=5)
+    inc = RowReducer(p, 35)
     for i in range(0, 60, 7):
-        inc.add_rows(M[i : i + 7])
+        feed(inc, M[i : i + 7], 5)
     assert inc.rank == bulk.rank
     assert sorted(inc.pivot_cols) == sorted(bulk.pivot_cols)
     got_b = {tuple(int(v) for v in bulk.pivot_row(s)) for s in range(bulk.rank)}
     got_i = {tuple(int(v) for v in inc.pivot_row(s)) for s in range(inc.rank)}
     assert got_b == got_i
+
+
+@pytest.mark.parametrize("always_rref", [True, False])
+def test_pivot_store_grows_past_its_initial_size(always_rref):
+    # Above 8192 columns the pivot store starts at 1024 rows and doubles.
+    p, ncols, rank = 7, 8200, 1100
+    rng = np.random.default_rng(8200)
+    lead = rng.permutation(ncols - 1)[:rank]
+    units = np.zeros((rank, ncols), dtype=np.int32)
+    units[np.arange(rank), lead] = 1
+    units[:, -1] = rng.integers(0, p, rank)
+    # 40 dependent rows, each a combination of the unit rows before it.
+    after = set(rng.choice(rank, 40, replace=False).tolist())
+    rows, unit_of = [], []  # unit_of: the unit row fed, or None
+    for k in range(rank):
+        rows.append(units[k])
+        unit_of.append(k)
+        if k in after:
+            coeffs = rng.integers(0, p, k + 1, dtype=np.int32)
+            rows.append(coeffs @ units[: k + 1] % p)
+            unit_of.append(None)
+    eng = RowReducer(p, ncols, always_rref=always_rref)
+    slots = eng.add_rows(np.array(rows))
+    assert eng.rank == rank and eng._cap == 2048
+    assert [s is None for s in slots] == [k is None for k in unit_of]
+    for slot, k in zip(slots, unit_of):
+        if k is not None:
+            assert eng.pivot_cols[slot] == lead[k]
+            assert np.array_equal(eng.pivot_row(slot), units[k])
 
 
 def test_zero_and_duplicate_rows():

@@ -201,15 +201,23 @@ def test_solve_determinism_byte_identical():
 
 def test_solve_apriori_mode():
     gap = gap_quartic_system()
-    rep = solve(gap, stop="apriori", apriori_bound=6)
+    rep = solve(gap, apriori_bound=6)
     assert rep.stop_reason == "apriori_bound"
     assert rep.solving_degree == 6
     # bound generous enough: the returned basis is the true one
     assert [str(g) for g in rep.basis] == ["1*x1 + 6*1", "1*x0^4 + 6*1"]
     with pytest.raises(ValueError):
-        solve(gap, stop="apriori", apriori_bound=3)
-    with pytest.raises(ValueError):
-        solve(gap, stop="apriori")
+        solve(gap, apriori_bound=3)
+
+
+def test_solve_apriori_bound_alone_selects_apriori():
+    # Giving the bound is what selects apriori mode: the solve runs to
+    # degree 6 uncertified, past the certified solving degree 5.
+    gap = gap_quartic_system()
+    assert solve(gap).solving_degree == 5
+    rep = solve(gap, apriori_bound=6)
+    assert rep.stop_reason == "apriori_bound"
+    assert [t.degree for t in rep.trace] == [4, 5, 6]
 
 
 def test_solve_degree_cap():

@@ -1,4 +1,4 @@
-"""Monomial order, polynomial structure, homogenization, normalization."""
+"""Monomial order, polynomial structure, and homogenization."""
 
 import random
 
@@ -19,13 +19,10 @@ from solvdeg import (
     homogenize,
     monomials_of_degree,
     monomials_up_to,
-    normalize_system,
     top_part,
 )
 from solvdeg.poly import MonomialIndex, monomial_keys
 from solvdeg.randsys import random_polynomial
-
-from conftest import oracle_rank
 
 
 def brute_cmp(a, b):
@@ -246,60 +243,6 @@ def test_field_equations():
     assert len(field_equations(R3)) == 2
     with pytest.raises(UnsupportedExtensionField):
         field_equations(R7, q=49)
-
-
-def test_normalize_drops_dependent_top(ring_xy):
-    F = PolySystem(ring_xy, (
-        ring_xy.poly({(2, 0): 1}),
-        ring_xy.poly({(2, 0): 1, (0, 2): 1}),
-    ))
-    out = normalize_system(F)
-    assert [set((m.exps, c.value) for m, c in f.terms) for f in out.polys] == [
-        {((2, 0), 1)}, {((0, 2), 1)}
-    ]
-
-
-def test_normalize_detects_inconsistency(ring_xy):
-    F = PolySystem(ring_xy, (
-        ring_xy.poly({(2, 0): 1, (0, 0): 1}),
-        ring_xy.poly({(2, 0): 1, (0, 0): 2}),
-    ))
-    out = normalize_system(F)
-    assert len(out.polys) == 1
-    assert out.polys[0] == ring_xy.constant(1)
-
-
-def test_normalize_reprocesses_remainder_at_lower_degree(ring_xy):
-    F = PolySystem(ring_xy, (
-        ring_xy.poly({(2, 0): 1}),
-        ring_xy.poly({(2, 0): 1, (0, 1): 1}),
-    ))
-    out = normalize_system(F)
-    assert [set((m.exps, c.value) for m, c in f.terms) for f in out.polys] == [
-        {((2, 0), 1)}, {((0, 1), 1)}
-    ]
-
-
-def test_normalize_output_tops_full_rank(ring_xyz):
-    rng = random.Random(19)
-    for trial in range(20):
-        polys = tuple(
-            random_polynomial(ring_xyz, rng.randrange(1, 4), rng)
-            for _ in range(rng.randrange(2, 7))
-        )
-        out = normalize_system(PolySystem(ring_xyz, polys))
-        if not out.polys:
-            continue
-        # independent rank check on the top-part coefficient rows
-        monos = list(monomials_up_to(3, max(f.degree for f in out.polys)))
-        col = {m.exps: i for i, m in enumerate(monos)}
-        rows = []
-        for f in out.polys:
-            row = [0] * len(monos)
-            for m, c in top_part(f).terms:
-                row[col[m.exps]] = c.value
-            rows.append(row)
-        assert oracle_rank(rows, 7) == len(out.polys)
 
 
 def test_system_flags(ring_xy):
