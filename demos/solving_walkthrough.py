@@ -14,9 +14,11 @@ for f in F.polys:
 print()
 
 print("The solver builds the degree-d Macaulay matrix, reduces it without")
-print("swapping rows, appends multiples of every polynomial whose leading")
-print("term fell, and re-reduces until nothing falls.  Only then does it")
-print("test the candidate basis by S-polynomial division.")
+print("swapping rows, and closes the row space under multiplication by")
+print("variables: every row whose leading term fell, and every row that")
+print("closure feeds, is multiplied by each variable and re-reduced until")
+print("nothing new appears.  Only then does it test the candidate basis by")
+print("S-polynomial division.")
 print()
 
 report = solve(F)

@@ -2,9 +2,9 @@
 
 The solver builds the degree-d matrix of a system (columns all monomials
 of degree <= d in descending degrevlex, rows the multiples of the input
-polynomials), row-reduces without permuting rows, appends multiples of
-every polynomial whose leading term fell, repeats to a fixpoint, and only
-then decides whether the pivot rows reveal a Groebner basis.  The least
+polynomials), row-reduces without permuting rows, closes the row space
+under multiplication by variables (below degree d), and only then
+decides whether the pivot rows reveal a Groebner basis.  The least
 degree at which they do is the measured solving degree.
 
 The stopping test is done outside the matrix, by polynomial division of
@@ -64,7 +64,13 @@ class SolveTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class DegreeTrace:
-    """What happened at one degree: matrix size, rank, fall count."""
+    """What happened at one degree: matrix size, rank, fall count.
+
+    `rows` counts every row fed to the eliminator: the initial products
+    u*f_j of degree <= `degree` plus the variable multiples fed by the
+    closure.  `degree_falls` counts the pivot slots whose leading term
+    fell, below that of the row fed for them, to a degree below `degree`.
+    """
 
     degree: int
     rows: int
@@ -104,7 +110,34 @@ def _ascending_keys(n: int, k: int) -> np.ndarray:
 
 
 class _Elimination:
-    """One degree of the algorithm: feed rows, chase degree falls."""
+    """One degree of the algorithm: feed rows, close under variables.
+
+    The rows fed first are the products u*f_j of degree <= d.  The
+    closure then multiplies pivot rows of degree < d by each variable,
+    visiting every pivot slot once, in the first round after it appears.
+    A slot qualifies when its degree is below d and either its leading
+    term fell (its pivot column lies right of the leading column of the
+    row fed for it) or that fed row came from the closure itself.
+    Rounds repeat until a round adds no pivot.
+
+    The row space W at the fixpoint is the smallest space V that holds
+    every u*f_j of degree <= d and x_i*v for every v in V of degree < d.
+    W is inside V, since every fed row is.  For the converse it suffices
+    that x_i*r lies in W for every final pivot row r of degree < d: an
+    element of W of degree < d is a combination of pivot rows led by
+    monomials of its support.  Induct over the pivots, smallest leading
+    monomial first.  Reduction only ever subtracts multiples of pivots
+    with smaller leads, so r = g - sum c_k r_k, where g is the row
+    multiplied by the closure (the slot's content when visited) or, for
+    a slot that did not qualify, the initial row u*f_j fed for it, and
+    each r_k is a final pivot row led by a monomial smaller than lead(r).
+    Each x_i*r_k lies in W by induction.  x_i*g was fed: by the closure
+    in the first case, and as the initial row (x_i*u)*f_j, of degree
+    deg(r) + 1 <= d, in the second (a slot that did not fall has
+    deg(g) = deg(r)).  So x_i*r lies in W.  Since the reduced row
+    echelon form of a space is unique, the pivots, the rank and the
+    extracted basis are those of V, whichever rows spanned it.
+    """
 
     def __init__(self, polys: list[Polynomial], d: int, p: int,
                  deadline: float | None):
@@ -116,19 +149,22 @@ class _Elimination:
         self.columns = monomials_up_to(self.n, d)
         self.keys = monomial_keys_up_to(self.n, d)
         self.engine = RowReducer(p, self.index.size, always_rref=True)
-        self.tag_of_slot: dict[int, int] = {}
+        # Per pivot slot: the leading column of the row fed for it, and
+        # whether that row was an initial u*f_j.
+        self.fed_for_slot: dict[int, tuple[int, bool]] = {}
         self.rows_fed = 0
         self.fall_events = 0
         self._block = np.zeros((BLOCK_ROWS, self.index.size), dtype=np.float64)
         self._tags = np.zeros(BLOCK_ROWS, dtype=np.int64)
+        self._initial = np.zeros(BLOCK_ROWS, dtype=bool)
         self._filled = 0
-        self._seen_falls: set[bytes] = set()
         for f in polys:
             keys, coeffs = term_arrays(f)
             self._queue_products(keys, coeffs,
-                                 _ascending_keys(self.n, d - f.degree))
+                                 _ascending_keys(self.n, d - f.degree),
+                                 initial=True)
         self._flush()
-        self._chase_falls()
+        self._close()
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -137,11 +173,12 @@ class _Elimination:
     # row building -----------------------------------------------------------
 
     def _queue_products(self, keys: np.ndarray, coeffs: np.ndarray,
-                        mult_keys: np.ndarray) -> None:
+                        mult_keys: np.ndarray, initial: bool) -> None:
         """Queue the rows u*f, u running over mult_keys in order.
 
-        Each row is tagged with its leading column; rows are fed to the
-        eliminator in blocks of BLOCK_ROWS.
+        Each row is tagged with its leading column and whether it is an
+        initial u*f_j; rows are fed to the eliminator in blocks of
+        BLOCK_ROWS.
         """
         cols = self.index.product_positions(keys, mult_keys)
         done = 0
@@ -151,6 +188,7 @@ class _Elimination:
             rows = slice(self._filled, self._filled + take)
             np.put_along_axis(self._block[rows], part, coeffs[None], axis=1)
             self._tags[rows] = part[:, 0]
+            self._initial[rows] = initial
             self._filled += take
             done += take
             if self._filled == BLOCK_ROWS:
@@ -165,37 +203,34 @@ class _Elimination:
         self._block[:filled] = 0
         self._filled = 0
         self.rows_fed += filled
-        for slot, tag in zip(slots, self._tags[:filled].tolist()):
+        for slot, tag, initial in zip(slots, self._tags[:filled].tolist(),
+                                      self._initial[:filled].tolist()):
             if slot is not None:
-                self.tag_of_slot[slot] = tag
+                self.fed_for_slot[slot] = (tag, initial)
 
-    # degree falls -----------------------------------------------------------
+    # closure under variables ------------------------------------------------
 
-    def _chase_falls(self) -> None:
+    def _close(self) -> None:
         engine, d = self.engine, self.d
-        while True:
+        variables = _ascending_keys(self.n, 1)[1:]
+        visited = 0  # slots are numbered in order of appearance
+        while visited < engine.rank:
             self._check_deadline()
-            before_rows = self.rows_fed
-            for slot in range(engine.rank):
+            start, visited = visited, engine.rank
+            for slot in range(start, visited):
                 c = engine.pivot_cols[slot]
-                if c <= self.tag_of_slot[slot]:
-                    continue  # leading term did not strictly drop
-                degree = int(self.keys[c, -1])
-                if degree >= d:
+                if int(self.keys[c, -1]) >= d:
                     continue
+                tag, initial = self.fed_for_slot[slot]
+                if c > tag:
+                    self.fall_events += 1
+                elif initial:
+                    continue  # x_i * (its u*f_j) is an initial row
                 content = engine.pivot_row(slot)
-                fp = content.tobytes()
-                if fp in self._seen_falls:
-                    continue
-                self._seen_falls.add(fp)
-                self.fall_events += 1
                 nz = np.flatnonzero(content)
-                # Multipliers of degree 1 .. d - degree: skip the unit.
-                self._queue_products(self.keys[nz], content[nz],
-                                     _ascending_keys(self.n, d - degree)[1:])
+                self._queue_products(self.keys[nz], content[nz], variables,
+                                     initial=False)
             self._flush()
-            if self.rows_fed == before_rows:
-                return
 
 
 def _vector_to_poly(content: np.ndarray, columns: tuple[Monomial, ...],
@@ -279,8 +314,11 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     At each degree, extract the candidate basis and certify it by
     S-polynomial division plus membership of the inputs.  With
     `apriori_bound` given, run the elimination up to that degree instead
-    and return its basis without certification.
+    and return its basis without certification.  `max_degree` caps the
+    certified mode only, so giving both stop rules is an error.
     """
+    if apriori_bound is not None and max_degree is not None:
+        raise ValueError("give apriori_bound or max_degree, not both")
     polys = [f for f in F.polys if not f.is_zero()]
     if not polys:
         raise ValueError("cannot solve a system with no nonzero polynomials")

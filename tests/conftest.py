@@ -8,6 +8,15 @@ convolution over Python ints.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as the benchmark uses, set before anything imports
+# numpy.  Idle OpenBLAS threads spin while they wait: with two of them
+# the suite used about twice the CPU for about the same wall time.
+# An explicit setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import random
 
 import pytest
@@ -110,8 +119,13 @@ def oracle_standard_monomials(leads: list[tuple[int, ...]], n: int,
 # -- shared corpora --------------------------------------------------------------
 
 
-def small_random_corpus(count: int = 30, seed: int = 77) -> list[PolySystem]:
-    """Small inhomogeneous random systems over {2, 7, 101}."""
+def small_random_corpus(count: int = 30, seed: int = 77,
+                        first_seed: int = 9000) -> list[PolySystem]:
+    """Small inhomogeneous random systems over {2, 7, 101}.
+
+    With seed=20240808 and first_seed=5000 these are the GF(2), GF(7)
+    and GF(101) systems of the `small-solve` benchmark workload.
+    """
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -119,7 +133,7 @@ def small_random_corpus(count: int = 30, seed: int = 77) -> list[PolySystem]:
         n = (1, 2, 3)[(i // 3) % 3]
         m = n + (i % 3)
         degrees = [rng.choice((2, 3)) for _ in range(max(m, 1))]
-        out.append(random_system(p, n, degrees, seed=9000 + i))
+        out.append(random_system(p, n, degrees, seed=first_seed + i))
     return out
 
 

@@ -264,6 +264,16 @@ def test_solve_apriori_flag(tmp_path, capsys):
     assert doc["result"]["solving_degree"] == 6
 
 
+def test_solve_apriori_with_max_degree_exit_2(tmp_path, capsys):
+    path = tmp_path / "gap.sys"
+    path.write_text(GAP_TEXT)
+    code, out, err = run_cli(
+        ["solve", str(path), "--apriori", "7", "--max-degree", "4"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "not both" in err
+
+
 def test_gen_random_degrees_list(capsys):
     args = ["gen-random", "-m", "3", "-n", "2", "-p", "7",
             "--degrees", "2,3,4", "--seed", "5"]

@@ -20,6 +20,8 @@ from solvdeg import (
     solve,
 )
 from solvdeg.analyze import regularity_from_hilbert
+from solvdeg.macaulay import _Elimination
+from solvdeg.poly import Monomial
 from solvdeg.presets import (
     gap_quartic_system,
     pair_product_system,
@@ -27,7 +29,7 @@ from solvdeg.presets import (
 )
 from solvdeg.randsys import random_system
 
-from conftest import oracle_rank
+from conftest import oracle_rank, small_random_corpus
 
 
 def test_build_matrix_counts(ring_xy):
@@ -183,6 +185,62 @@ def test_presets_solving_degree_and_basis_size(system, expected):
     assert (rep.solving_degree, len(rep.basis)) == expected
 
 
+def _closure_violations(F, d):
+    """Rows that the degree-d elimination of F fails to contain.
+
+    The eliminator's row space must hold every row of build_matrix(F, d)
+    and x_i * r for every pivot row r of degree < d.  Products are formed
+    by monomial multiplication and placed by exponent lookup, apart from
+    the solver's column index.
+    """
+    polys = [f for f in F.polys if not f.is_zero()]
+    elim = _Elimination(polys, d, F.ring.modulus.p, None)
+    engine, columns = elim.engine, elim.columns
+    col_of = {m.exps: i for i, m in enumerate(columns)}
+    variables = [Monomial(tuple(int(i == k) for i in range(F.ring.n)))
+                 for k in range(F.ring.n)]
+    bad = []
+    for k, row in enumerate(build_matrix(F, d).data):
+        if np.any(engine.reduce_vector(row)):
+            bad.append(("initial", k))
+    for slot, c in enumerate(engine.pivot_cols):
+        if columns[c].degree >= d:
+            continue
+        row = engine.pivot_row(slot)
+        nz = np.flatnonzero(row)
+        for x in variables:
+            prod = np.zeros_like(row)
+            for i in nz:
+                prod[col_of[columns[i].mul(x).exps]] = row[i]
+            if np.any(engine.reduce_vector(prod)):
+                bad.append(("product", slot, x.exps))
+    return bad
+
+
+# Every 12th small-solve system from the 4th: nine systems, two of which
+# (3 and 15) lose rank if closure-fed rows are not multiplied in turn.
+_SMALL_SOLVE_SAMPLE = small_random_corpus(100, seed=20240808,
+                                          first_seed=5000)[3::12]
+
+
+@pytest.mark.parametrize("F, d", [
+    pytest.param(gap_quartic_system(), d, id=f"gap-{d}") for d in (4, 5, 6)
+] + [pytest.param(pair_product_system(), 14, id="pair-14")] + [
+    pytest.param(F, max(F.degrees) + extra, id=f"small{3 + 12 * i}+{extra}")
+    for i, F in enumerate(_SMALL_SOLVE_SAMPLE) for extra in (0, 1, 2)
+])
+def test_elimination_row_space_is_closed(F, d):
+    assert _closure_violations(F, d) == []
+
+
+def test_triple_product_row_budget():
+    # Multiplying fallen rows by every monomial of degree up to d - deg,
+    # rather than closing under variables, feeds 112,442 rows here.
+    (t,) = solve(triple_product_system()).trace
+    assert (t.degree, t.cols, t.rank) == (18, 1330, 1320)
+    assert t.rows < 10_000
+
+
 def test_solve_determinism_byte_identical():
     gap = gap_quartic_system()
     def dump(rep):
@@ -218,6 +276,12 @@ def test_solve_apriori_bound_alone_selects_apriori():
     rep = solve(gap, apriori_bound=6)
     assert rep.stop_reason == "apriori_bound"
     assert [t.degree for t in rep.trace] == [4, 5, 6]
+
+
+def test_solve_rejects_both_stop_rules():
+    # max_degree caps certification, which apriori mode skips.
+    with pytest.raises(ValueError, match="not both"):
+        solve(gap_quartic_system(), apriori_bound=7, max_degree=4)
 
 
 def test_solve_degree_cap():
@@ -389,3 +453,23 @@ def test_solve_product_systems_cascade():
         rep = solve(F)
         assert list(rep.basis) == buchberger_oracle(F)
         assert rep.trace[-1].degree == rep.solving_degree
+
+
+def test_solve_matches_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        p=st.sampled_from((2, 7, 101)),
+        n=st.integers(1, 3),
+        extra=st.integers(0, 2),
+        degrees=st.lists(st.integers(2, 3), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(p, n, extra, degrees, seed):
+        F = random_system(p, n, degrees[:n + extra], seed=seed)
+        assert list(solve(F).basis) == buchberger_oracle(F)
+
+    check()

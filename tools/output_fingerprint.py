@@ -5,9 +5,13 @@ the 120-system corpus of the `small-solve` benchmark workload, the
 per-degree trace (degree, rows, cols, rank, degree_falls), the solving
 degree and the reduced basis; the `build_matrix` data, multipliers,
 sources and columns for every 7th corpus system; and the Hilbert
-profiles of the six `semireg-sweep` systems.  It prints the SHA-256 of
-the JSON.  A refactor that must not change results gives the same digest
-on both checkouts:
+profiles of the six `semireg-sweep` systems.  It prints two SHA-256
+digests: `full` of the JSON as written, and `results` of the same JSON
+without the per-degree `rows` and `degree_falls` columns, which count
+the solver's work rather than its answers.  A refactor that must not
+change results gives the same `full` digest on both checkouts; one that
+changes how many rows the solver feeds, on purpose, must still give the
+same `results` digest:
 
     PYTHONPATH=<old checkout>/src python tools/output_fingerprint.py old.json
     PYTHONPATH=src python tools/output_fingerprint.py new.json
@@ -85,14 +89,29 @@ def fingerprint() -> dict:
     return out
 
 
+def _results_only(out: dict) -> dict:
+    """`out` with each trace entry cut to (degree, cols, rank)."""
+    return {
+        key: ({**rec, "trace": [[t[0], t[2], t[3]] for t in rec["trace"]]}
+              if isinstance(rec, dict) else rec)
+        for key, rec in out.items()
+    }
+
+
+def _digest(out: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__)
         return 2
-    text = json.dumps(fingerprint(), sort_keys=True)
+    out = fingerprint()
     with open(argv[1], "w") as f:
-        f.write(text)
-    print(hashlib.sha256(text.encode()).hexdigest())
+        f.write(json.dumps(out, sort_keys=True))
+    print("full   ", _digest(out))
+    print("results", _digest(_results_only(out)))
     return 0
 
 
