@@ -67,7 +67,6 @@ from .macaulay import (
     SolveReport,
     SolveTimeout,
     build_matrix,
-    rref_no_swap,
     solve,
 )
 from .analyze import (

@@ -378,8 +378,15 @@ def _cmd_gen_random(args) -> int:
 def _cmd_verify_paper(args) -> int:
     from .verify import run_verification
 
-    ok = run_verification(fast=args.fast, out=sys.stdout)
-    return 0 if ok else 1
+    report = args.json or args.out
+    outcomes = run_verification(fast=args.fast,
+                                out=None if report else sys.stdout)
+    if report:
+        result = {"claims": [{"name": o.claim.name, "passed": o.passed,
+                              "seconds": o.seconds} for o in outcomes]}
+        _emit(_document("verify-paper", result), args,
+              "".join(o.line + "\n" for o in outcomes))
+    return 0 if all(o.passed for o in outcomes) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -391,14 +398,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--json", action="store_true",
-                        help="emit a JSON report document")
+    def common(sp, *flags):
+        if "json" in flags:
+            sp.add_argument("--json", action="store_true",
+                            help="emit a JSON report document")
         sp.add_argument("--out", help="write output to a file")
-        sp.add_argument("--timeout-secs", type=float, default=None)
+        if "timeout" in flags:
+            sp.add_argument("--timeout-secs", type=float, default=None)
 
     b = sub.add_parser("bound", help="closed-form and series bound queries")
-    common(b)
+    common(b, "json")
     for flag, _, _ in _BOUNDS:
         b.add_argument(flag, action="store_true")
     b.add_argument("-m", type=int, default=None)
@@ -413,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     b.set_defaults(fn=_cmd_bound)
 
     s = sub.add_parser("solve", help="measure the solving degree of a system")
-    common(s)
+    common(s, "json", "timeout")
     s.add_argument("file", help="system file, or - for stdin")
     s.add_argument("--max-degree", type=int, default=None)
     s.add_argument("--apriori", type=int, default=None,
@@ -421,14 +430,14 @@ def main(argv: list[str] | None = None) -> int:
     s.set_defaults(fn=_cmd_solve)
 
     a = sub.add_parser("analyze", help="diagnostics for a system")
-    common(a)
+    common(a, "json", "timeout")
     a.add_argument("file")
     a.add_argument("--no-groebner", action="store_true",
                    help="skip the Groebner-based quantities")
     a.set_defaults(fn=_cmd_analyze)
 
     t = sub.add_parser("table", help="regularity grid as TSV")
-    common(t)
+    common(t, "json")
     t.add_argument("--k-min", type=int, default=2)
     t.add_argument("--k-max", type=int, default=100)
     t.add_argument("--n-min", type=int, default=2)
@@ -447,11 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     g.add_argument("--homogeneous", action="store_true")
     g.set_defaults(fn=_cmd_gen_random)
 
-    v = sub.add_parser("verify-paper",
-                       help="run the built-in regression suite")
-    common(v)
+    v = sub.add_parser("verify-paper", help="check the paper's claims")
+    common(v, "json")
     v.add_argument("--fast", action="store_true",
-                   help="skip the long solving-degree measurements")
+                   help="skip the claims marked slow")
     v.set_defaults(fn=_cmd_verify_paper)
 
     args = parser.parse_args(argv)

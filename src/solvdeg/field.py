@@ -54,17 +54,6 @@ class PrimeField:
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(value % self.p, self)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self):
-        """All field elements, in residue order (intended for tiny p)."""
-        for v in range(self.p):
-            yield FieldElement(v, self)
-
     def __repr__(self) -> str:
         return f"GF({self.p})"
 

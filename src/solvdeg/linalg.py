@@ -133,9 +133,6 @@ class RowReducer:
         """Content of a pivot slot (fully reduced in always_rref mode)."""
         return self._P[slot].copy()
 
-    def pivot_rows(self) -> np.ndarray:
-        return self._P[: self.rank]
-
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
         """Normal form of one row against the current pivot rows."""
         w = np.array(v, dtype=self.dtype).reshape(1, -1)

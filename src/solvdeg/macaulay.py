@@ -41,7 +41,6 @@ __all__ = [
     "DegreeCapExceeded",
     "SolveTimeout",
     "build_matrix",
-    "rref_no_swap",
     "solve",
     "buchberger_oracle",
 ]
@@ -286,24 +285,6 @@ def build_matrix(F: PolySystem, d: int) -> MacaulayMatrix:
             else np.zeros((0, index.size), dtype=np.int64))
     return MacaulayMatrix(d, F.ring.modulus.p, monomials_up_to(n, d),
                           tuple(mults), tuple(sources), data)
-
-
-def rref_no_swap(M: MacaulayMatrix) -> MacaulayMatrix:
-    """Reduced row echelon form without row permutation.
-
-    Every elementary step adds a multiple of another row or rescales, so
-    tags stay attached to their rows: row k comes out zero exactly when
-    m_i f_j depends on the rows before it, and otherwise keeps the pivot
-    at the leading column of m_i f_j reduced against those rows.
-    """
-    engine = RowReducer(M.modulus, len(M.columns), always_rref=True)
-    slots = engine.add_rows(M.data)
-    out = np.zeros_like(M.data)
-    for k, slot in enumerate(slots):
-        if slot is not None:
-            out[k] = engine.pivot_row(slot).astype(M.data.dtype)
-    return MacaulayMatrix(M.degree, M.modulus, M.columns,
-                          M.multipliers, M.sources, out)
 
 
 def solve(F: PolySystem, *, max_degree: int | None = None,

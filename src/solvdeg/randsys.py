@@ -61,3 +61,21 @@ def random_system(p: int, n: int, degrees: Sequence[int], seed: int,
         for d in degrees
     )
     return PolySystem(ring, polys)
+
+
+def random_corpus(count: int, seed: int, first_seed: int) -> list[PolySystem]:
+    """Small inhomogeneous random systems over GF(2), GF(7) and GF(101).
+
+    System i has p = (2, 7, 101)[i % 3], n = (1, 2, 3)[(i // 3) % 3] and
+    m = n + i % 3 equations, whose degrees (2 or 3) are drawn from one
+    Random(seed); its coefficients come from seed first_seed + i.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = (2, 7, 101)[i % 3]
+        n = (1, 2, 3)[(i // 3) % 3]
+        m = n + (i % 3)
+        degrees = [rng.choice((2, 3)) for _ in range(m)]
+        out.append(random_system(p, n, degrees, seed=first_seed + i))
+    return out

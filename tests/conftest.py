@@ -17,12 +17,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import random
-
 import pytest
 
 from solvdeg import PolySystem, PolynomialRing, PrimeField
-from solvdeg.randsys import random_system
+from solvdeg.randsys import random_corpus
 
 
 # -- independent oracles -------------------------------------------------------
@@ -119,22 +117,9 @@ def oracle_standard_monomials(leads: list[tuple[int, ...]], n: int,
 # -- shared corpora --------------------------------------------------------------
 
 
-def small_random_corpus(count: int = 30, seed: int = 77,
-                        first_seed: int = 9000) -> list[PolySystem]:
-    """Small inhomogeneous random systems over {2, 7, 101}.
-
-    With seed=20240808 and first_seed=5000 these are the GF(2), GF(7)
-    and GF(101) systems of the `small-solve` benchmark workload.
-    """
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        p = (2, 7, 101)[i % 3]
-        n = (1, 2, 3)[(i // 3) % 3]
-        m = n + (i % 3)
-        degrees = [rng.choice((2, 3)) for _ in range(max(m, 1))]
-        out.append(random_system(p, n, degrees, seed=first_seed + i))
-    return out
+def small_random_corpus() -> list[PolySystem]:
+    """30 small inhomogeneous random systems over {2, 7, 101}."""
+    return random_corpus(30, seed=77, first_seed=9000)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from solvdeg.cli import (
 from solvdeg.field import NonPrimeField
 from solvdeg.presets import gap_quartic_system
 from solvdeg.randsys import random_system
+from solvdeg.verify import CLAIMS
 
 GAP_TEXT = """\
 # gap example over GF(7)
@@ -249,7 +250,27 @@ def test_out_file(tmp_path, capsys):
 def test_verify_paper_fast(capsys):
     code, out, _ = run_cli(["verify-paper", "--fast"], capsys)
     assert code == 0
-    assert "[PASS]" in out and "[FAIL]" not in out
+    lines = out.splitlines()
+    assert all(line.startswith("[PASS] ") for line in lines)
+    assert len(lines) == sum(not c.slow for c in CLAIMS)
+    assert len({c.name for c in CLAIMS}) == len(CLAIMS)
+
+
+def test_verify_paper_json(capsys):
+    code, out, _ = run_cli(["verify-paper", "--fast", "--json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["command"] == "verify-paper"
+    claims = doc["result"]["claims"]
+    assert [c["name"] for c in claims] == [c.name for c in CLAIMS
+                                           if not c.slow]
+    assert all(c["passed"] and c["seconds"] >= 0 for c in claims)
+
+
+def test_gen_random_rejects_timeout_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-random", "-m", "2", "-n", "2", "-p", "7", "--seed", "1",
+              "--timeout-secs", "1"])
+    assert exc.value.code == 2
 
 
 def test_solve_apriori_flag(tmp_path, capsys):
