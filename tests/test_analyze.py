@@ -78,6 +78,10 @@ def test_hilbert_function_against_groebner_oracle(corpus):
             ), (F, d)
 
 
+def test_degree_of_regularity_gap():
+    assert degree_of_regularity(gap_quartic_system()) == 4
+
+
 def test_degree_of_regularity_infinite(ring_xy):
     F = PolySystem(ring_xy, (ring_xy.poly({(2, 0): 1}),))
     assert degree_of_regularity(F) == math.inf

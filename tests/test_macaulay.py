@@ -180,6 +180,16 @@ def test_solve_gap_system_exact():
     assert rep.solving_degree >= max(f.degree for f in gap.polys)
 
 
+@pytest.mark.parametrize("system, expected", [
+    (gap_quartic_system, (5, 2)),
+    (pair_product_system, (14, 8)),
+    (triple_product_system, (18, 5)),
+])
+def test_presets_solving_degree_and_basis_size(system, expected):
+    rep = solve(system())
+    assert (rep.solving_degree, len(rep.basis)) == expected
+
+
 def _closure_violations(F, d):
     """Rows that the degree-d elimination of F fails to contain.
 
