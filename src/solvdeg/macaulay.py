@@ -8,9 +8,11 @@ decides whether the pivot rows reveal a Groebner basis.  The least
 degree at which they do is the measured solving degree.
 
 The stopping test is done outside the matrix, by polynomial division of
-the S-polynomials against the candidate basis plus membership of the
-inputs; that keeps the reported solving degree equal to the degree of the
-matrices actually eliminated.
+the S-polynomials whose lcm has degree above d against the candidate
+basis; that keeps the reported solving degree equal to the degree of the
+matrices actually eliminated.  The closed row space already proves the
+rest: pairs at or below degree d reduce to zero, the inputs lie in the
+ideal of the basis, and the pivot rows are inter-reduced (see `solve`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
 from .field import FieldElement, PrimeField
-from .groebner import buchberger_oracle, is_groebner_basis, reduce_basis
+# reduce_basis is unused here: perfbench/layers.py wraps it by name.
+from .groebner import is_groebner_basis, reduce_basis
 from .linalg import BLOCK_ROWS, RowReducer
 from .poly import (
     Monomial,
@@ -42,7 +45,6 @@ __all__ = [
     "SolveTimeout",
     "build_matrix",
     "solve",
-    "buchberger_oracle",
 ]
 
 class DegreeCapExceeded(RuntimeError):
@@ -241,19 +243,20 @@ def _vector_to_poly(content: np.ndarray, columns: tuple[Monomial, ...],
 
 
 def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomial]:
-    """Pivot rows with minimal leading terms, inter-reduced."""
+    """Pivot rows with minimal leading terms, by ascending leading term.
+
+    No inter-reduction pass: the rows are monic and, the row space being
+    closed, the RREF has already cleared every tail term that a kept
+    lead divides (fact (c) in `solve`'s docstring).  Columns run in
+    descending degrevlex, so descending column is ascending lead.
+    """
     engine, columns = elim.engine, elim.columns
-    leads = sorted(
-        ((columns[c], slot) for slot, c in enumerate(engine.pivot_cols)),
-        key=lambda t: t[0].sort_key(),
-    )
     kept: list[tuple[Monomial, int]] = []
-    for mono, slot in leads:
-        if not any(km.divides(mono) for km, _ in kept):
-            kept.append((mono, slot))
-    polys = [_vector_to_poly(engine.pivot_row(slot), columns, fld)
-             for _, slot in kept]
-    return reduce_basis(polys)
+    for slot, c in sorted(enumerate(engine.pivot_cols), key=lambda t: -t[1]):
+        if not any(km.divides(columns[c]) for km, _ in kept):
+            kept.append((columns[c], slot))
+    return [_vector_to_poly(engine.pivot_row(slot), columns, fld)
+            for _, slot in kept]
 
 
 # -- public operations ---------------------------------------------------------
@@ -292,11 +295,36 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
           timeout: float | None = None) -> SolveReport:
     """Run the degree-by-degree elimination until a basis is certified.
 
-    At each degree, extract the candidate basis and certify it by
-    S-polynomial division plus membership of the inputs.  With
-    `apriori_bound` given, run the elimination up to that degree instead
-    and return its basis without certification.  `max_degree` caps the
-    certified mode only, so giving both stop rules is an error.
+    At each degree d, extract the candidate basis G and certify it by
+    dividing the S-polynomials of its pairs whose lcm has degree above d.
+    With `apriori_bound` given, run the elimination up to that degree
+    instead and return its basis without certification.  `max_degree`
+    caps the certified mode only, so giving both stop rules is an error.
+
+    Why nothing else needs checking.  Let V_d be the row space that
+    _Elimination builds, closed as its docstring proves, and G its pivot
+    rows with minimal leading monomials.  The order is graded, so
+    deg(u*g) = deg(u) + deg(g), and by closure u*g lies in V_d for every
+    g in G and monomial u with deg(u*g) <= d.  Every nonzero h in V_d
+    leads with a pivot column, and every pivot lead is a multiple of a
+    lead of G.  So division by G never leaves a term of h in the
+    remainder: its largest term is u*lead(g) for some g in G, the step
+    subtracts a multiple of u*g, which lies in V_d, and what is left is
+    in V_d with a smaller lead.  Every h in V_d reduces to zero.  Hence:
+
+    (a) For a pair of G whose lcm has degree <= d, both products in its
+        S-polynomial lie in V_d, so it reduces to zero.  Only the pairs
+        above d need division (is_groebner_basis(closed_degree=d)).  The
+        Gebauer-Moller chain criterion stays sound, because the pairs
+        left out of the queue do reduce to zero, as treated pairs must.
+    (b) Each input f_j, of degree <= d, lies in V_d and so reduces to
+        zero: G generates the ideal of F, and membership needs no check.
+    (c) A tail term m of g in G has degree <= d.  If the lead of some h
+        in G divided it, m = u*lead(h) would lead u*h in V_d, so m would
+        be a pivot column, which the RREF clears from every other pivot
+        row.  So G's tails are reduced, and with its monic rows and
+        minimal leads G is what reduce_basis would return, at any degree
+        and in apriori mode too.
     """
     if apriori_bound is not None and max_degree is not None:
         raise ValueError("give apriori_bound or max_degree, not both")
@@ -339,7 +367,7 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
         basis = _extract_reduced_basis(elim, fld)
         if apriori_bound is not None:
             stop_reason = "apriori_bound"
-        elif is_groebner_basis(basis, polys):
+        elif is_groebner_basis(basis, closed_degree=d):
             stop_reason = "spair_check"
         else:
             continue

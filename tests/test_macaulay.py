@@ -20,7 +20,7 @@ from solvdeg import (
 )
 from solvdeg.analyze import regularity_from_hilbert
 from solvdeg.linalg import RowReducer
-from solvdeg.macaulay import _Elimination
+from solvdeg.macaulay import _Elimination, _extract_reduced_basis
 from solvdeg.poly import Monomial
 from solvdeg.presets import (
     gap_quartic_system,
@@ -227,14 +227,41 @@ def _closure_violations(F, d):
 _SMALL_SOLVE_SAMPLE = oracle_corpus()[3::12]
 
 
-@pytest.mark.parametrize("F, d", [
+_CLOSED_CASES = [
     pytest.param(gap_quartic_system(), d, id=f"gap-{d}") for d in (4, 5, 6)
 ] + [pytest.param(pair_product_system(), 14, id="pair-14")] + [
     pytest.param(F, max(F.degrees) + extra, id=f"small{3 + 12 * i}+{extra}")
     for i, F in enumerate(_SMALL_SOLVE_SAMPLE) for extra in (0, 1, 2)
-])
+]
+
+# Random quadrics that climb from degree 2 to their solving degree 5.
+_CLIMB = random_system(7919, 6, [2] * 7, seed=1)
+
+
+@pytest.mark.parametrize("F, d", _CLOSED_CASES)
 def test_elimination_row_space_is_closed(F, d):
     assert _closure_violations(F, d) == []
+
+
+@pytest.mark.parametrize("F, d", _CLOSED_CASES + [
+    pytest.param(_CLIMB, d, id=f"climb-{d}") for d in (2, 3, 4, 5)
+])
+def test_closed_row_space_certifies_itself(F, d):
+    # The facts solve relies on to skip work, checked by full division at
+    # every degree, whether or not the basis is a Groebner basis yet:
+    # (a) S-pairs with lcm of degree <= d reduce to zero, (b) so do the
+    # inputs, (c) the extracted basis is already reduced.
+    polys = [f for f in F.polys if not f.is_zero()]
+    elim = _Elimination(polys, d, F.ring.modulus.p, None)
+    basis = _extract_reduced_basis(elim, F.ring.modulus)
+    for i in range(len(basis)):
+        for j in range(i):
+            lcm = basis[i].leading_monomial.lcm(basis[j].leading_monomial)
+            if lcm.degree <= d:
+                s = s_polynomial(basis[i], basis[j])
+                assert normal_form(s, basis).is_zero(), (i, j)
+    assert all(normal_form(f, basis).is_zero() for f in polys)
+    assert reduce_basis(basis) == basis
 
 
 def test_triple_product_row_budget():
