@@ -4,14 +4,20 @@ nonzerodivisor test, and the largest Groebner basis degree.
 
 Hilbert function values come from ranks of per-degree coefficient blocks,
 not from Groebner bases; the Groebner route survives only as a test
-oracle.  Per-degree blocks are fed to the eliminator in a deterministic
-shuffled order with an early exit once the rank saturates, which is what
-keeps the witness-degree checks on larger systems affordable.
+oracle.  Each rank is a Faugere-Lachartre split (_graded_rank): with the
+inputs echelonized, most columns have a row that leads there, known
+without elimination, and only the Schur complement on the other columns
+goes through dense elimination.
+
+analyze_system(timeout=) holds one deadline for the whole call: the
+Hilbert-function loops check it between degrees, and each solve gets
+the time left.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -20,8 +26,8 @@ import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
 from .groebner import normal_form
-from .linalg import BLOCK_ROWS, RowReducer
-from .macaulay import solve
+from .linalg import BLOCK_ROWS, RowReducer, _sub_matmul_mod
+from .macaulay import SolveTimeout, solve
 from .poly import (
     Monomial,
     MonomialIndex,
@@ -32,6 +38,10 @@ from .poly import (
     term_arrays,
     top_system,
 )
+
+
+# Rows per product in the back-substitution of the known pivot rows.
+_RUN = 32
 
 
 class NotHomogeneous(ValueError):
@@ -68,48 +78,180 @@ def _require_homogeneous(F: PolySystem) -> None:
         raise NotHomogeneous("system must be homogeneous")
 
 
+def _echelon_inputs(F: PolySystem, d: int) -> list[tuple[int, np.ndarray,
+                                                           np.ndarray]]:
+    """The inputs of each degree e <= d in reduced row echelon form.
+
+    Returns one (e, term keys, coefficients) per nonzero RREF row g over
+    the degree-e monomials, terms in descending degrevlex.  Within a
+    degree the rows lead with distinct monomials, and each is monic.
+    """
+    n = F.ring.n
+    p = F.ring.modulus.p
+    one = monomial_keys_up_to(n, 0)
+    out = []
+    for e in sorted(set(F.degrees)):
+        if e > d:
+            break
+        group = [f for f in F.polys if not f.is_zero() and f.degree == e]
+        width = comb(n + e - 1, e)
+        eng = RowReducer(p, width)
+        rows = np.zeros((len(group), width), dtype=eng.dtype)
+        index = MonomialIndex(n, e)
+        for row, f in zip(rows, group):
+            keys, coeffs = term_arrays(f)
+            row[index.product_positions(keys, one)[0]] = coeffs
+        eng.add_rows(rows)
+        # Degree-e monomials lead monomials_up_to(n, e).
+        keys_e = monomial_keys_up_to(n, e)
+        for slot in range(eng.rank):
+            g = eng.pivot_row(slot)
+            cols = np.flatnonzero(g)
+            out.append((e, keys_e[cols], g[cols]))
+    return out
+
+
+def _back_substitute(X: np.ndarray, deps: np.ndarray, coeffs: np.ndarray,
+                     p: int) -> None:
+    """In place: X[i] := X[i] - sum_k coeffs[i, k] X[deps[i, k]] (mod p),
+    each X[deps[i, k]] taken after its own update.
+
+    deps[i] holds row indices above i, or len(X) for no entry.  Rows go
+    by depth: a row without entries has depth 1, any other row one more
+    than its deepest entry, so a depth needs only the depths before it.
+    A depth is done in runs of _RUN rows, one product per run over just
+    the rows the run uses: rows close in order share most of them.
+    """
+    P = len(X)
+    depth = np.zeros(P + 1, dtype=np.int64)  # depth[P] = 0: no entry
+    while True:
+        new = 1 + depth[deps].max(axis=1, initial=0)
+        if np.array_equal(new, depth[:P]):
+            break
+        depth[:P] = new
+    for level in range(2, int(depth.max(initial=0)) + 1):
+        level_rows = np.flatnonzero(depth[:P] == level)
+        for lo in range(0, len(level_rows), _RUN):
+            rows = level_rows[lo:lo + _RUN]
+            sub = deps[rows]
+            r, k = np.nonzero(sub < P)
+            used = np.unique(sub[r, k])
+            C = np.zeros((len(rows), len(used)), dtype=X.dtype)
+            C[r, np.searchsorted(used, sub[r, k])] = coeffs[rows[r], k]
+            Y = X[rows]
+            _sub_matmul_mod(Y, C, X[used], p)
+            X[rows] = Y
+
+
 @lru_cache(maxsize=4096)
 def _graded_rank(F: PolySystem, d: int) -> int:
-    """Rank of the degree-d block: rows u*f_j with deg(u*f_j) = d."""
+    """Rank of the degree-d block I_d: rows u*f_j with deg(u*f_j) = d.
+
+    A Faugere-Lachartre split (Faugere and Lachartre, PASCO 2010):
+
+    1. Put the inputs of each degree in reduced row echelon form
+       (_echelon_inputs) and take the rows u*g of those RREF rows g.
+    2. The lead of u*g is u*LM(g), known without elimination.  One row
+       per distinct lead column is a known pivot row; these rows are
+       unit upper triangular on the pivot columns.
+    3. Back-substitute the known pivot rows, over their few terms, to
+       [I | X] on (pivot columns | the other columns).
+    4. Write each other row as (C | D) on the same split; its Schur row
+       is D - C*X on the non-pivot columns.  A rank-only RowReducer
+       takes the Schur rows, in a fixed shuffled order, until its rank
+       fills the non-pivot columns.
+    5. The rank is |pivots| + rank(Schur rows).
+
+    Why this is the rank.  (a) Each degree group's RREF rows span the
+    same space as that group's inputs, and u*(sum c_i f_i) = sum c_i
+    u*f_i, so the rows u*g span the same I_d as the rows u*f_j.  (b)
+    Multiplying by u keeps the degrevlex order of the terms, so u*g
+    leads at u*LM(g) with coefficient 1 (g is monic), and the known
+    pivot rows, sorted by lead, form a matrix [T | N] with T unit upper
+    triangular.  Row operations within these rows turn it into
+    [I | X], X = T^-1 N, without changing their span.  Subtracting
+    C*[I | X] from another row (C | D) leaves (0 | D - C*X), again a row
+    operation.  So I_d is spanned by [I | X] and the rows (0 | S), the
+    first set is independent on the pivot columns where the second
+    vanishes, and rank = |pivots| + rank(S).  Once the Schur rows fed
+    reach rank = the number of non-pivot columns, no other row can
+    raise it, and the rest are skipped.
+
+    Exactness.  All entries are residues in [0, p).  Every product goes
+    through linalg._sub_matmul_mod: X - A*B with inner length k runs in
+    float64 only when _float_ok(p, k + 1), i.e. (p-1)^2 (k+3) < 2^53,
+    so every partial sum and the result, in (-(p-1)^2 k, p), are exact
+    integers; otherwise it runs in int64 chunks that stay below 2^62.
+    The inner lengths are the known pivot rows one run of the
+    back-substitution uses, at most |pivots|, and |pivots| for the
+    Schur rows: 3,787 at n = 10, d = 6, while p = 7919 allows about
+    1.4e8.  The RowReducer keeps its own gates.
+    """
     n = F.ring.n
     p = F.ring.modulus.p
     ncols = comb(n + d - 1, d)
+    gens = _echelon_inputs(F, d)
+    if not gens:
+        return 0
     # Degree-d monomials lead monomials_up_to(n, d), so the products'
-    # positions in it are their columns in this block.
+    # positions in it are their columns in this block.  Rows are padded
+    # to a common width with column ncols and coefficient 0.
     index = MonomialIndex(n, d)
-    products = []  # per source: (columns of u*f_j, one row per u; coeffs)
-    for f in F.polys:
-        if f.is_zero() or f.degree > d:
-            continue
-        k = d - f.degree
+    width = max(len(coeffs) for _, _, coeffs in gens)
+    cols_parts, coeff_parts = [], []
+    for e, keys, coeffs in gens:
+        k = d - e
         # The degree-k monomials, descending: the head of monomials_up_to.
         mult_keys = monomial_keys_up_to(n, k)[:comb(n + k - 1, k)]
-        keys, coeffs = term_arrays(f)
-        products.append((index.product_positions(keys, mult_keys), coeffs))
-    if not products:
-        return 0
-    # Jobs (j, u) in source order, then u in descending degrevlex.
-    counts = [len(cols) for cols, _ in products]
-    job_source = np.repeat(np.arange(len(products)), counts)
-    job_mult = np.concatenate([np.arange(c) for c in counts])
-    # Deterministic shuffle so the rank saturates after roughly ncols rows
-    # and the remaining rows can be skipped.
-    rng = np.random.default_rng(0x5EED ^ (len(job_source) << 16) ^ d)
-    perm = rng.permutation(len(job_source))
-    eng = RowReducer(p, ncols, always_rref=False)
-    block = np.zeros((BLOCK_ROWS, ncols), dtype=eng.dtype)
-    for lo in range(0, len(perm), BLOCK_ROWS):
-        chunk = perm[lo:lo + BLOCK_ROWS]
-        rows = block[:len(chunk)]
-        chunk_source = job_source[chunk]
-        for j, (cols, coeffs) in enumerate(products):
-            mine = np.flatnonzero(chunk_source == j)
-            rows[mine[:, None], cols[job_mult[chunk[mine]]]] = coeffs
-        eng.add_rows(rows)
-        rows[:] = 0
-        if eng.rank == ncols:
-            return ncols
-    return eng.rank
+        cols = np.full((len(mult_keys), width), ncols, dtype=np.int64)
+        cols[:, :len(keys)] = index.product_positions(keys, mult_keys)
+        padded = np.zeros(width, dtype=coeffs.dtype)
+        padded[:len(coeffs)] = coeffs
+        cols_parts.append(cols)
+        coeff_parts.append(np.broadcast_to(padded, cols.shape))
+    cols = np.concatenate(cols_parts)
+    coeffs = np.concatenate(coeff_parts)
+    # Each row's first column is its lead; one row per lead is a pivot.
+    pivots, known = np.unique(cols[:, 0], return_index=True)
+    npiv = len(pivots)
+    nfree = ncols - npiv
+    if nfree == 0:
+        return npiv
+    # Column -> index among the pivot (resp. other) columns; the padding
+    # column and the other kind map one past the end.
+    piv_of = np.full(ncols + 1, npiv, dtype=np.int64)
+    piv_of[pivots] = np.arange(npiv)
+    free_of = np.full(ncols + 1, nfree, dtype=np.int64)
+    free_of[np.flatnonzero(piv_of[:ncols] == npiv)] = np.arange(nfree)
+    eng = RowReducer(p, nfree, always_rref=False)
+
+    # [I | X] from the known pivot rows, in order of their pivot columns.
+    kcols, kcoeffs = cols[known], coeffs[known].astype(eng.dtype)
+    X = np.zeros((npiv, nfree + 1), dtype=eng.dtype)
+    X[np.arange(npiv)[:, None], free_of[kcols]] = kcoeffs
+    X = np.ascontiguousarray(X[:, :nfree])
+    _back_substitute(X, piv_of[kcols[:, 1:]], kcoeffs[:, 1:], p)
+
+    # Schur rows D - C*X of the other rows, in a fixed shuffled order:
+    # in source order the rank fills only after most rows.
+    others = np.ones(len(cols), dtype=bool)
+    others[known] = False
+    others = np.flatnonzero(others)
+    rng = np.random.default_rng(0x5EED ^ (len(cols) << 16) ^ d)
+    others = rng.permutation(others)
+    for lo in range(0, len(others), BLOCK_ROWS):
+        chunk = others[lo:lo + BLOCK_ROWS]
+        ccols, ccoeffs = cols[chunk], coeffs[chunk]
+        at = np.arange(len(chunk))[:, None]
+        C = np.zeros((len(chunk), npiv + 1), dtype=eng.dtype)
+        C[at, piv_of[ccols]] = ccoeffs
+        S = np.zeros((len(chunk), nfree + 1), dtype=eng.dtype)
+        S[at, free_of[ccols]] = ccoeffs
+        _sub_matmul_mod(S[:, :nfree], C[:, :npiv], X, p)
+        eng.add_rows(S[:, :nfree])
+        if eng.rank == nfree:
+            break
+    return npiv + eng.rank
 
 
 def hilbert_function(F: PolySystem, d: int) -> int:
@@ -124,6 +266,25 @@ def hilbert_function(F: PolySystem, d: int) -> int:
 def hilbert_function_profile(F: PolySystem, dmax: int) -> tuple[int, ...]:
     """Hilbert function values for d = 0..dmax."""
     return tuple(hilbert_function(F, d) for d in range(dmax + 1))
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SolveTimeout("analysis deadline expired", ())
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left before the deadline; raises once it has passed."""
+    _check_deadline(deadline)
+    return None if deadline is None else deadline - time.monotonic()
+
+
+def _hilbert_values(F: PolySystem, degrees, deadline: float | None):
+    """hilbert_function(F, d) for d in degrees, checking the deadline
+    before each degree."""
+    for d in degrees:
+        _check_deadline(deadline)
+        yield hilbert_function(F, d)
 
 
 # -- regularity-style quantities -------------------------------------------------
@@ -150,11 +311,16 @@ def degree_of_regularity(F: PolySystem, cap: int | None = None) -> float:
 
 def is_artinian(F: PolySystem, cap: int | None = None) -> tuple[bool, int | None]:
     """Does some graded piece fill up?  Answer is definitive only up to cap."""
+    return _is_artinian(F, cap, None)
+
+
+def _is_artinian(F: PolySystem, cap: int | None,
+                 deadline: float | None) -> tuple[bool, int | None]:
     _require_homogeneous(F)
     if cap is None:
         cap = _default_cap(F.degrees, F.ring.n)
-    for d in range(cap + 1):
-        if hilbert_function(F, d) == 0:
+    for d, hf in enumerate(_hilbert_values(F, range(cap + 1), deadline)):
+        if hf == 0:
             return True, d
     return False, None
 
@@ -170,7 +336,7 @@ def regularity_from_hilbert(F: PolySystem) -> int:
 # -- semi-regularity ---------------------------------------------------------------
 
 
-def _crypto_test(F: PolySystem) -> bool:
+def _crypto_test(F: PolySystem, deadline: float | None) -> bool:
     """Hilbert function against the truncated series prediction."""
     from .bounds import semiregular_series
 
@@ -181,8 +347,7 @@ def _crypto_test(F: PolySystem) -> bool:
         return True
     predicted = semiregular_series(n, degrees)
     cap = sum(d - 1 for d in degrees) + 1
-    for d in range(cap + 1):
-        hf = hilbert_function(F, d)
+    for d, hf in enumerate(_hilbert_values(F, range(cap + 1), deadline)):
         if hf != predicted.coefficient(d):
             return False
         if hf == 0:
@@ -200,17 +365,22 @@ def semiregular_test(F: PolySystem, mode: str = "crypto") -> bool:
     match its own prediction (the stronger, order-dependent notion).
     mode="inhomogeneous": homogenize first, then run the crypto test.
     """
+    return _semiregular_test(F, mode, None)
+
+
+def _semiregular_test(F: PolySystem, mode: str,
+                      deadline: float | None) -> bool:
     if mode == "crypto":
-        return _crypto_test(F)
+        return _crypto_test(F, deadline)
     if mode == "pardue_prefix":
         _require_homogeneous(F)
         polys = F.nonzero()
         for ell in range(1, len(polys) + 1):
-            if not _crypto_test(PolySystem(F.ring, polys[:ell])):
+            if not _crypto_test(PolySystem(F.ring, polys[:ell]), deadline):
                 return False
         return True
     if mode == "inhomogeneous":
-        return _crypto_test(homogenize_system(F))
+        return _crypto_test(homogenize_system(F), deadline)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -260,23 +430,29 @@ def max_groebner_degree(F: PolySystem, *, timeout: float | None = None) -> int:
 def analyze_system(F: PolySystem, *, cap: int | None = None,
                    include_groebner: bool = True,
                    timeout: float | None = None) -> AnalysisReport:
-    """Compute the full diagnostic bundle for a system."""
+    """Compute the full diagnostic bundle for a system.
+
+    `timeout` bounds the whole call: the Hilbert-function loops check
+    one deadline between degrees, and each solve gets the time left.
+    Past it, SolveTimeout is raised.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
     homogeneous = F.is_homogeneous
-    T = top_system(F) if F.nonzero() else F
-    d_reg = degree_of_regularity(F, cap=cap)
-    artinian = d_reg != math.inf
-    witness = int(d_reg) if artinian else None
-    profile_cap = witness if witness is not None else _default_cap(
-        T.degrees, T.ring.n)
-    profile = (hilbert_function_profile(T, profile_cap)
+    T = top_system(F)
+    artinian, witness = _is_artinian(T, cap, deadline)
+    profile_cap = witness if artinian else _default_cap(T.degrees, T.ring.n)
+    profile = (tuple(_hilbert_values(T, range(profile_cap + 1), deadline))
                if F.nonzero() else ())
-    crypto = semiregular_test(F, "crypto" if homogeneous else "inhomogeneous")
-    pardue = semiregular_test(F, "pardue_prefix") if homogeneous else None
-    t_nzd = None if homogeneous else t_nonzerodivisor(F, timeout=timeout)
-    maxgb = (max_groebner_degree(F, timeout=timeout)
+    crypto = _semiregular_test(
+        F, "crypto" if homogeneous else "inhomogeneous", deadline)
+    pardue = (_semiregular_test(F, "pardue_prefix", deadline)
+              if homogeneous else None)
+    t_nzd = (None if homogeneous
+             else t_nonzerodivisor(F, timeout=_remaining(deadline)))
+    maxgb = (max_groebner_degree(F, timeout=_remaining(deadline))
              if include_groebner else None)
     return AnalysisReport(
-        d_reg=d_reg,
+        d_reg=witness if artinian else math.inf,
         is_artinian=artinian,
         artinian_witness_degree=witness,
         crypto_semiregular=crypto,

@@ -1,7 +1,9 @@
 """Hilbert functions, regularity diagnostics, semi-regularity tests."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from solvdeg import (
@@ -25,10 +27,17 @@ from solvdeg import (
     t_nonzerodivisor,
     top_system,
 )
+from solvdeg.analyze import _echelon_inputs, _graded_rank
+from solvdeg.linalg import rank_mod_p
+from solvdeg.macaulay import SolveTimeout
+from solvdeg.poly import monomials_of_degree
 from solvdeg.presets import gap_quartic_system
 from solvdeg.randsys import random_system
 
-from conftest import oracle_standard_monomials
+from conftest import oracle_rank, oracle_standard_monomials
+
+# p = 2^31 - 1 fails the float64 gate: the int64 path.
+KERNEL_PRIMES = [2, 7, 7919, 2**31 - 1]
 
 
 def _monomial_system(ring, *exps):
@@ -76,6 +85,96 @@ def test_hilbert_function_against_groebner_oracle(corpus):
             assert hilbert_function(T, d) == oracle_standard_monomials(
                 leads, n, d
             ), (F, d)
+
+
+# -- the Faugere-Lachartre rank against an explicit degree-d block ---------
+
+
+def _explicit_block(F, d):
+    """Rows u*f of the nonzero inputs of degree <= d, multiplied out term
+    by term, over the degree-d monomials."""
+    col = {m.exps: i for i, m in enumerate(monomials_of_degree(F.ring.n, d))}
+    rows = []
+    for f in F.polys:
+        if f.is_zero() or f.degree > d:
+            continue
+        for u in monomials_of_degree(F.ring.n, d - f.degree):
+            row = [0] * len(col)
+            for m, c in (f * u).terms:
+                row[col[m.exps]] = c.value
+            rows.append(row)
+    return rows
+
+
+def _block_rank(F, d):
+    """Rank of the explicit block: the pure-Python oracle when small,
+    else rank_mod_p over the whole block at once."""
+    rows = _explicit_block(F, d)
+    p = F.ring.modulus.p
+    if not rows:
+        return 0
+    if len(rows) * len(rows[0]) <= 20_000:
+        return oracle_rank(rows, p)
+    return rank_mod_p(np.array(rows, dtype=np.int64), p)
+
+
+def _echelon_leads(F, d):
+    """Leading exponents of the echelonized inputs, per input degree."""
+    leads = {}
+    for e, keys, _ in _echelon_inputs(F, d):
+        lead = np.diff(keys[0], prepend=0)  # keys are prefix sums
+        leads.setdefault(e, []).append(tuple(int(x) for x in lead))
+    return leads
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_graded_rank_mixed_degrees_with_colliding_leads(p):
+    # Degrees 2, 3 and 4 in 4 variables: a multiple of a degree-2 lead is
+    # also a multiple of a degree-3 or degree-4 lead, so the known pivot
+    # rows must pick one row per lead column across the degree groups.
+    F = random_system(p, 4, [2, 3, 4, 3, 2], seed=61 + p % 97,
+                      homogeneous=True)
+    leads = _echelon_leads(F, 4)
+    assert any(all(a <= b for a, b in zip(l2, lh))
+               for l2 in leads[2] for e in (3, 4) for lh in leads[e])
+    for d in range(9):
+        assert _graded_rank(F, d) == _block_rank(F, d), d
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_graded_rank_redundant_and_degenerate_inputs(p):
+    # Duplicates, a scalar multiple, the zero polynomial and an input of
+    # degree above d change nothing the explicit block does not show.
+    F = random_system(p, 4, [2, 2, 3], seed=71 + p % 89, homogeneous=True)
+    f0, f1, f2 = F.polys
+    (high,) = random_system(p, 4, [6], seed=72, homogeneous=True).polys
+    G = PolySystem(F.ring, (f0, f1, f0, f0 * (p - 1), F.ring.zero(), f2,
+                            f1 * 2 if p > 2 else f1, high))
+    for d in range(8):
+        expect = _block_rank(G, d)
+        assert _graded_rank(G, d) == expect, d
+        if d < 6:
+            assert expect == _block_rank(F, d)
+    assert _graded_rank(PolySystem(F.ring, (F.ring.zero(),)), 3) == 0
+
+
+@pytest.mark.parametrize("n, p", [(6, 2), (7, 7), (8, 7919), (6, 2**31 - 1)])
+def test_graded_rank_schur_complement_full_and_deficient(n, p):
+    # Random quadrics, m = n + 2: below the degree of regularity the Schur
+    # complement is rank deficient, at and above it the rank fills every
+    # column, including the columns no known pivot covers.
+    F = random_system(p, n, [2] * (n + 2), seed=80 + n, homogeneous=True)
+    seen = set()
+    for d in range(2, 7):
+        ncols = len(monomials_of_degree(n, d))
+        free = oracle_standard_monomials(_echelon_leads(F, d)[2], n, d)
+        rank = _graded_rank(F, d)
+        assert rank == _block_rank(F, d), d
+        assert free > 0
+        seen.add(rank == ncols)
+        if rank == ncols and len(seen) == 2:
+            break
+    assert seen == {False, True}
 
 
 def test_degree_of_regularity_gap():
@@ -248,3 +347,15 @@ def test_analyze_homogeneous_bundle(ring_xy):
     rep2 = analyze_system(G)
     assert rep2.crypto_semiregular is True
     assert rep2.pardue_prefix_semiregular is True
+
+
+def test_analyze_timeout_bounds_all_work():
+    # The Hilbert-function loops, not only the solves, answer to the
+    # deadline: at timeout=0 the call stops before its first degree.
+    F = random_system(7919, 8, [2] * 10, seed=7800, homogeneous=True)
+    start = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        analyze_system(F, timeout=0)
+    assert time.monotonic() - start < 1.0
+    with pytest.raises(SolveTimeout):
+        analyze_system(gap_quartic_system(), timeout=0)

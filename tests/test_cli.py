@@ -207,6 +207,15 @@ def test_analyze_cli(tmp_path, capsys):
     assert doc["result"]["hilbert_function"] == [1, 2, 2, 1, 0]
 
 
+def test_analyze_timeout_zero_exit_1(tmp_path, capsys):
+    path = tmp_path / "gap.sys"
+    path.write_text(GAP_TEXT)
+    code, out, err = run_cli(["analyze", str(path), "--timeout-secs", "0"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert "deadline" in err
+
+
 def test_table_cli(capsys):
     code, out, _ = run_cli(
         ["table", "--k-min", "2", "--k-max", "3", "--n-min", "2",

@@ -5,7 +5,9 @@ the 120-system corpus of the `small-solve` benchmark workload, the
 per-degree trace (degree, rows, cols, rank, degree_falls), the solving
 degree and the reduced basis; the `build_matrix` data, multipliers,
 sources and columns for every 7th corpus system; and the Hilbert
-profiles of the six `semireg-sweep` systems.  It prints two SHA-256
+profiles of the six `semireg-sweep` systems, of the top systems of the
+corpus (p in {2, 7, 101, 2^31-1}, degrees 2 and 3 mixed) and of the
+three presets' top systems.  It prints two SHA-256
 digests: `full` of the JSON as written, and `results` of the same JSON
 without the per-degree `rows` and `degree_falls` columns, which count
 the solver's work rather than its answers.  A refactor that must not
@@ -28,12 +30,13 @@ import random
 import sys
 
 from solvdeg import build_matrix, solve
-from solvdeg.analyze import hilbert_function_profile
+from solvdeg.analyze import hilbert_function_profile, is_artinian
 from solvdeg.presets import (
     gap_quartic_system,
     pair_product_system,
     triple_product_system,
 )
+from solvdeg.poly import top_system
 from solvdeg.randsys import random_system
 
 
@@ -49,6 +52,15 @@ def _solve_record(F) -> dict | str:
         "basis": [[(list(m.exps), c.value) for m, c in g.terms]
                   for g in rep.basis],
     }
+
+
+def _top_profile(F) -> list[int]:
+    """Hilbert function of F's top system through its first zero, or
+    through four degrees past its largest input degree."""
+    T = top_system(F)
+    artinian, witness = is_artinian(T)
+    dmax = witness if artinian else max(T.degrees) + 4
+    return list(hilbert_function_profile(T, dmax))
 
 
 def _small_solve_corpus() -> list:
@@ -70,8 +82,10 @@ def fingerprint() -> dict:
                      ("pair", pair_product_system()),
                      ("triple", triple_product_system())]:
         out[label] = _solve_record(F)
+        out[f"hilbert_{label}"] = _top_profile(F)
     for i, F in enumerate(_small_solve_corpus()):
         out[f"small{i}"] = _solve_record(F)
+        out[f"hilbert_small{i}"] = _top_profile(F)
         if i % 7 == 0:
             M = build_matrix(F, max(F.degrees) + 1)
             out[f"build_matrix{i}"] = [
