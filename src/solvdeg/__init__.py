@@ -19,7 +19,6 @@ from .poly import (
     PolynomialRing,
     UnsupportedExtensionField,
     ZeroPolynomial,
-    degrevlex_cmp,
     dehomogenize_last,
     field_equations,
     homogenize,
@@ -53,7 +52,6 @@ from .bounds import (
     truncate_positive,
 )
 from .groebner import (
-    buchberger,
     buchberger_oracle,
     is_groebner_basis,
     normal_form,
@@ -63,10 +61,8 @@ from .groebner import (
 from .macaulay import (
     DegreeCapExceeded,
     DegreeTrace,
-    MacaulayMatrix,
     SolveReport,
     SolveTimeout,
-    build_matrix,
     solve,
 )
 from .analyze import (

@@ -50,9 +50,6 @@ class TruncatedSeries:
     def cap(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, d: int) -> int:
-        return self.coeffs[d]
-
     def coefficient(self, d: int) -> int:
         """Coefficient of z^d, treating indices beyond the cap as 0."""
         return self.coeffs[d] if d <= self.cap else 0
@@ -115,17 +112,14 @@ def quotient_series_coeffs(n: int, degrees: Sequence[int], cap: int) -> list[int
     return coeffs
 
 
-def semiregular_series(n: int, degrees: Iterable[int],
-                       cap: int | None = None) -> TruncatedSeries:
+def semiregular_series(n: int, degrees: Iterable[int]) -> TruncatedSeries:
     """The truncated quotient series of a semi-regular sequence.
 
-    The cap defaults to sum(d_i - 1) + 1, beyond the point where the raw
-    series of an overdetermined sequence must have gone non-positive.
+    The cap is sum(d_i - 1) + 1, beyond the point where the raw series
+    of an overdetermined sequence must have gone non-positive.
     """
     ds = sorted(degrees)
-    if cap is None:
-        cap = _series_cap(ds)
-    raw = quotient_series_coeffs(n, ds, cap)
+    raw = quotient_series_coeffs(n, ds, _series_cap(ds))
     return truncate_positive(TruncatedSeries(tuple(raw)))
 
 

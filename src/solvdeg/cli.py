@@ -23,15 +23,10 @@ import hashlib
 import json
 import math
 import sys
-import time
 
 from . import __version__
 from .analyze import analyze_system
 from .bounds import (
-    OutOfRange,
-    PreconditionViolated,
-    Underdetermined,
-    UnsupportedGap,
     aci_bound,
     egh_bound,
     egh_bound_inhomogeneous,
@@ -45,7 +40,7 @@ from .bounds import (
     regularity_table,
     render_table_tsv,
 )
-from .field import NonPrimeField, PrimeField
+from .field import PrimeField
 from .macaulay import DegreeCapExceeded, SolveReport, SolveTimeout, solve
 from .poly import PolySystem, Polynomial, PolynomialRing
 from .randsys import random_system
@@ -201,16 +196,20 @@ def _document(command: str, result: dict, input_bytes: bytes | None = None) -> d
     return doc
 
 
-def _emit(doc: dict, args, human: str | None = None) -> None:
-    if args.json or human is None:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        text = human
+def _write(args, text: str) -> None:
+    """Write text to the --out file, or to stdout without one."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, args, human: str) -> None:
+    if args.json:
+        _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    else:
+        _write(args, human)
 
 
 def _solve_report_dict(rep: SolveReport, ring: PolynomialRing) -> dict:
@@ -346,18 +345,11 @@ def _cmd_table(args) -> int:
     ks = range(args.k_min, args.k_max + 1)
     ns = range(args.n_min, args.n_max + 1)
     table = regularity_table(ks, ns, d=args.d)
-    tsv = render_table_tsv(list(ks), list(ns), table)
-    if args.json:
-        result = {"k_range": [args.k_min, args.k_max],
-                  "n_range": [args.n_min, args.n_max],
-                  "d": args.d, "rows": table}
-        _emit(_document("table", result), args)
-    else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(tsv)
-        else:
-            sys.stdout.write(tsv)
+    result = {"k_range": [args.k_min, args.k_max],
+              "n_range": [args.n_min, args.n_max],
+              "d": args.d, "rows": table}
+    _emit(_document("table", result), args,
+          render_table_tsv(list(ks), list(ns), table))
     return 0
 
 
@@ -366,12 +358,7 @@ def _cmd_gen_random(args) -> int:
                else [args.d] * args.m)
     F = random_system(args.p, args.n, degrees, args.seed,
                       homogeneous=args.homogeneous)
-    text = render_system(F)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, render_system(F))
     return 0
 
 
@@ -465,11 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NonPrimeField) as exc:
-        _error(args, str(exc), code=2)
-        return 2
-    except (Underdetermined, UnsupportedGap, PreconditionViolated,
-            OutOfRange, ValueError) as exc:
+    except ValueError as exc:
         _error(args, str(exc), code=2)
         return 2
     except (DegreeCapExceeded, SolveTimeout) as exc:

@@ -147,14 +147,6 @@ def _new_elements(basis: list[Polynomial], closed_degree: int = -1):
         yield basis[-1]
 
 
-def buchberger(polys: list[Polynomial]) -> list[Polynomial]:
-    """A Groebner basis (not reduced) of the given generators."""
-    basis = [f.monic() for f in polys if not f.is_zero()]
-    for _ in _new_elements(basis):
-        pass
-    return basis
-
-
 def reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
     """The reduced basis: minimal leads, reduced tails, monic, sorted.
 
@@ -182,7 +174,10 @@ def reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
 
 def buchberger_oracle(F: PolySystem) -> list[Polynomial]:
     """Reduced degrevlex Groebner basis by Buchberger's algorithm."""
-    return reduce_basis(buchberger([f for f in F.polys if not f.is_zero()]))
+    basis = [f.monic() for f in F.polys if not f.is_zero()]
+    for _ in _new_elements(basis):
+        pass
+    return reduce_basis(basis)
 
 
 def is_groebner_basis(basis: list[Polynomial],

@@ -38,12 +38,10 @@ from .poly import (
 )
 
 __all__ = [
-    "MacaulayMatrix",
     "DegreeTrace",
     "SolveReport",
     "DegreeCapExceeded",
     "SolveTimeout",
-    "build_matrix",
     "solve",
 ]
 
@@ -87,22 +85,6 @@ class SolveReport:
     max_gb_degree: int
     trace: tuple[DegreeTrace, ...]
     stop_reason: str
-
-
-@dataclass(frozen=True)
-class MacaulayMatrix:
-    """Degree-d Macaulay matrix with row tags (multiplier, source index)."""
-
-    degree: int
-    modulus: int
-    columns: tuple[Monomial, ...]
-    multipliers: tuple[Monomial, ...]
-    sources: tuple[int, ...]
-    data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
 
 def _ascending_keys(n: int, k: int) -> np.ndarray:
@@ -262,34 +244,6 @@ def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomi
 # -- public operations ---------------------------------------------------------
 
 
-def build_matrix(F: PolySystem, d: int) -> MacaulayMatrix:
-    """The degree-d Macaulay matrix of F, rows tagged (multiplier, source)."""
-    polys = list(F.polys)
-    degs = [f.degree for f in polys if not f.is_zero()]
-    if degs and d < max(degs):
-        raise ValueError(f"degree {d} below the largest input degree {max(degs)}")
-    n = F.ring.n
-    index = MonomialIndex(n, d)
-    mults: list[Monomial] = []
-    sources: list[int] = []
-    blocks: list[np.ndarray] = []
-    for j, f in enumerate(polys):
-        if f.is_zero():
-            continue
-        k = d - f.degree
-        keys, coeffs = term_arrays(f)
-        cols = index.product_positions(keys, _ascending_keys(n, k))
-        block = np.zeros((len(cols), index.size), dtype=np.int64)
-        np.put_along_axis(block, cols, coeffs[None], axis=1)
-        mults.extend(reversed(monomials_up_to(n, k)))
-        sources.extend([j] * len(cols))
-        blocks.append(block)
-    data = (np.vstack(blocks) if blocks
-            else np.zeros((0, index.size), dtype=np.int64))
-    return MacaulayMatrix(d, F.ring.modulus.p, monomials_up_to(n, d),
-                          tuple(mults), tuple(sources), data)
-
-
 def solve(F: PolySystem, *, max_degree: int | None = None,
           apriori_bound: int | None = None,
           timeout: float | None = None) -> SolveReport:
@@ -299,7 +253,8 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     dividing the S-polynomials of its pairs whose lcm has degree above d.
     With `apriori_bound` given, run the elimination up to that degree
     instead and return its basis without certification.  `max_degree`
-    caps the certified mode only, so giving both stop rules is an error.
+    caps the certified mode only, so giving both stop rules is an error,
+    and so is either one below the largest input degree.
 
     Why nothing else needs checking.  Let V_d be the row space that
     _Elimination builds, closed as its docstring proves, and G its pivot
@@ -337,18 +292,18 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     deadline = None if timeout is None else time.monotonic() + timeout
 
     if apriori_bound is not None:
-        if apriori_bound < d0:
-            raise ValueError("apriori bound below the largest input degree")
         end = apriori_bound
-    else:
-        if max_degree is None:
-            degrees = [f.degree for f in polys]
-            try:
-                max_degree = macaulay_bound(F.ring.n + 1, degrees)
-            except Underdetermined:
-                max_degree = 30
-            max_degree = max(max_degree, d0)
+    elif max_degree is not None:
         end = max_degree
+    else:
+        try:
+            end = macaulay_bound(F.ring.n + 1, [f.degree for f in polys])
+        except Underdetermined:
+            end = 30
+        end = max(end, d0)
+    if end < d0:
+        raise ValueError(
+            f"degree cap {end} below the largest input degree {d0}")
 
     trace: list[DegreeTrace] = []
     for d in range(d0, end + 1):

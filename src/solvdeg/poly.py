@@ -81,23 +81,6 @@ class Monomial:
         ) or "1"
 
 
-def degrevlex_cmp(a: Monomial, b: Monomial) -> int:
-    """Three-way degrevlex comparison: +1 if a > b, -1 if a < b, 0 if equal.
-
-    a > b iff deg a > deg b, or the degrees agree and the last nonzero
-    entry of a - b is negative.
-    """
-    if a.nvars != b.nvars:
-        raise LengthMismatch(f"arity {a.nvars} vs {b.nvars}")
-    da, db = a.degree, b.degree
-    if da != db:
-        return 1 if da > db else -1
-    for x, y in zip(reversed(a.exps), reversed(b.exps)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
 def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     """All degree-d monomials in n variables, descending degrevlex."""
     out = []
@@ -349,16 +332,16 @@ class PolynomialRing:
             self.modulus,
         )
 
-    def extend(self, name: str | None = None) -> "PolynomialRing":
-        """Append one degrevlex-least variable (used for homogenization)."""
-        if name is None:
-            name = "t"
-            k = 0
-            while name in self.names:
-                name = f"t{k}"
-                k += 1
-        elif name in self.names:
-            raise ValueError(f"variable {name!r} already in ring")
+    def extend(self) -> "PolynomialRing":
+        """Append one degrevlex-least variable (used for homogenization).
+
+        It is named t, or t0, t1, ... when t is taken.
+        """
+        name = "t"
+        k = 0
+        while name in self.names:
+            name = f"t{k}"
+            k += 1
         return PolynomialRing(self.names + (name,), self.modulus)
 
 
@@ -433,8 +416,8 @@ def top_part(f: Polynomial) -> Polynomial:
     )
 
 
-def homogenize_system(F: PolySystem, name: str | None = None) -> PolySystem:
-    ring = F.ring.extend(name)
+def homogenize_system(F: PolySystem) -> PolySystem:
+    ring = F.ring.extend()
     return PolySystem(ring, tuple(homogenize(f) for f in F.polys))
 
 

@@ -47,14 +47,11 @@ def random_polynomial(ring: PolynomialRing, degree: int, rng: random.Random,
 
 
 def random_system(p: int, n: int, degrees: Sequence[int], seed: int,
-                  homogeneous: bool = False,
-                  names: Sequence[str] | None = None) -> PolySystem:
+                  homogeneous: bool = False) -> PolySystem:
     """A system of len(degrees) random polynomials over GF(p)."""
     from .field import PrimeField
 
-    if names is None:
-        names = tuple(f"x{i+1}" for i in range(n))
-    ring = PolynomialRing(tuple(names), PrimeField(p))
+    ring = PolynomialRing(tuple(f"x{i+1}" for i in range(n)), PrimeField(p))
     rng = random.Random(seed)
     polys = tuple(
         random_polynomial(ring, d, rng, homogeneous=homogeneous)

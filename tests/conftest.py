@@ -26,32 +26,9 @@ from solvdeg.randsys import random_corpus
 # -- independent oracles -------------------------------------------------------
 
 
-def oracle_rank(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination with row swaps over GF(p), pure Python."""
-    M = [[x % p for x in row] for row in rows]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def oracle_rref_rows(rows: list[list[int]], p: int) -> set[tuple[int, ...]]:
-    """The set of nonzero RREF rows (canonical, order-free)."""
+    """The set of nonzero RREF rows (canonical, order-free), by Gaussian
+    elimination with row swaps over GF(p), pure Python."""
     M = [[x % p for x in row] for row in rows]
     if not M:
         return set()
@@ -72,6 +49,12 @@ def oracle_rref_rows(rows: list[list[int]], p: int) -> set[tuple[int, ...]]:
         if r == nrows:
             break
     return {tuple(row) for row in M[:r]}
+
+
+def oracle_rank(rows: list[list[int]], p: int) -> int:
+    """The rank over GF(p): the nonzero rows of an RREF are distinct, so
+    they are as many as the rank."""
+    return len(oracle_rref_rows(rows, p))
 
 
 def oracle_series(n: int, degrees: list[int], cap: int) -> list[int]:

@@ -189,6 +189,16 @@ def test_solve_cap_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--max-degree", "--apriori"])
+def test_solve_cap_below_input_degree_exit_2(flag, tmp_path, capsys):
+    # Either stop rule below the input degree 4 is a usage error.
+    path = tmp_path / "gap.sys"
+    path.write_text(GAP_TEXT)
+    code, out, err = run_cli(["solve", str(path), flag, "3"], capsys)
+    assert code == 2 and out == ""
+    assert "below the largest input degree" in err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.sys"
     path.write_text("field 4\nvars x\nx\n")
@@ -226,6 +236,27 @@ def test_table_cli(capsys):
     assert lines[0] == "k/n\t2\t3\t4\t5"
     assert lines[1] == "2\t2\t3\t3\t3"
     assert lines[2] == "3\t2\t2\t3\t3"
+
+
+def test_table_out_file(tmp_path, capsys):
+    args = ["table", "--k-min", "2", "--k-max", "3", "--n-min", "2",
+            "--n-max", "5"]
+    _, tsv, _ = run_cli(args, capsys)
+    target = tmp_path / "table.tsv"
+    code, out, _ = run_cli(args + ["--out", str(target)], capsys)
+    assert code == 0 and out == ""
+    assert target.read_text() == tsv
+
+
+def test_gen_random_out_file(tmp_path, capsys):
+    target = tmp_path / "random.sys"
+    code, out, _ = run_cli(
+        ["gen-random", "-m", "4", "-n", "3", "-p", "7", "--seed", "42",
+         "--out", str(target)], capsys
+    )
+    assert code == 0 and out == ""
+    F = parse_system(target.read_text())
+    assert F == random_system(7, 3, [2] * 4, 42)
 
 
 def test_gen_random_reproducible(capsys):

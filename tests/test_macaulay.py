@@ -10,7 +10,6 @@ from solvdeg import (
     DegreeCapExceeded,
     PolySystem,
     SolveTimeout,
-    build_matrix,
     buchberger_oracle,
     is_groebner_basis,
     normal_form,
@@ -21,7 +20,7 @@ from solvdeg import (
 from solvdeg.analyze import regularity_from_hilbert
 from solvdeg.linalg import RowReducer
 from solvdeg.macaulay import _Elimination, _extract_reduced_basis
-from solvdeg.poly import Monomial
+from solvdeg.poly import Monomial, monomials_up_to
 from solvdeg.presets import (
     gap_quartic_system,
     pair_product_system,
@@ -33,58 +32,37 @@ from solvdeg.verify import oracle_corpus
 from conftest import oracle_rank
 
 
-def test_build_matrix_counts(ring_xy):
-    from solvdeg import degrevlex_cmp
+def _product_rows(F, d):
+    """The rows u*f_j of degree <= d, by source, multipliers ascending.
 
-    F = PolySystem(ring_xy, (ring_xy.poly({(2, 0): 1}), ring_xy.poly({(0, 2): 1})))
-    M2 = build_matrix(F, 2)
-    assert M2.shape == (2, 6)
-    assert all(u.is_one() for u in M2.multipliers)
-    M3 = build_matrix(F, 3)
-    assert M3.shape == (6, 10)
-    # rows grouped by source, multipliers ascending degrevlex within a group
-    assert list(M3.sources) == sorted(M3.sources)
-    for j in set(M3.sources):
-        group = [u for u, s in zip(M3.multipliers, M3.sources) if s == j]
-        for a, b in zip(group, group[1:]):
-            assert degrevlex_cmp(a, b) == -1
-    # columns strictly descending
-    for a, b in zip(M3.columns, M3.columns[1:]):
-        assert degrevlex_cmp(a, b) == 1
-    gap = gap_quartic_system()
-    M4 = build_matrix(gap, 4)
-    assert len(M4.columns) == 15
-    assert M4.shape[0] == 10
-    with pytest.raises(ValueError):
-        build_matrix(gap, 3)
+    Built apart from the solver: each product by Polynomial * Monomial,
+    its terms placed by exponent lookup over monomials_up_to(n, d).
+    """
+    n = F.ring.n
+    col_of = {m.exps: i for i, m in enumerate(monomials_up_to(n, d))}
+    rows = []
+    for f in F.nonzero():
+        for u in reversed(monomials_up_to(n, d - f.degree)):
+            row = np.zeros(len(col_of), dtype=np.int64)
+            for m, c in (f * u).terms:
+                row[col_of[m.exps]] = c.value
+            rows.append(row)
+    return np.array(rows)
 
 
-def test_build_matrix_row_content(ring_xy):
-    F = PolySystem(ring_xy, (ring_xy.poly({(2, 0): 1, (0, 0): 3}),))
-    M = build_matrix(F, 3)
-    # row for multiplier y of x^2 + 3: y*x^2 + 3y
-    for u, row in zip(M.multipliers, M.data):
-        if u.exps == (0, 1):
-            cols = {M.columns[i].exps: int(v) for i, v in enumerate(row) if v}
-            assert cols == {(2, 1): 1, (0, 1): 3}
-            break
-    else:
-        pytest.fail("multiplier y missing")
-
-
-def _no_swap_rref(M):
-    """Row k of M after elimination without row swaps: the content of the
-    pivot slot it filled, or None if it reduced to zero."""
-    eng = RowReducer(M.modulus, len(M.columns))
+def _no_swap_rref(rows, p):
+    """Row k of rows after elimination without row swaps: the content of
+    the pivot slot it filled, or None if it reduced to zero."""
+    eng = RowReducer(p, rows.shape[1])
     return [None if slot is None else eng.pivot_row(slot)
-            for slot in eng.add_rows(M.data)]
+            for slot in eng.add_rows(rows)]
 
 
 def test_rref_identity_pattern_unchanged(ring_xy):
     F = PolySystem(ring_xy, (ring_xy.poly({(2, 0): 1}), ring_xy.poly({(0, 2): 1})))
-    M = build_matrix(F, 2)
-    R = _no_swap_rref(M)
-    assert all(np.array_equal(r, m) for r, m in zip(R, M.data, strict=True))
+    rows = _product_rows(F, 2)
+    R = _no_swap_rref(rows, 7)
+    assert all(np.array_equal(r, m) for r, m in zip(R, rows, strict=True))
 
 
 def test_rref_single_elimination(ring_xy):
@@ -92,10 +70,10 @@ def test_rref_single_elimination(ring_xy):
         ring_xy.poly({(2, 0): 1, (0, 2): 1}),
         ring_xy.poly({(0, 2): 1}),
     ))
-    M = build_matrix(F, 2)
+    columns = monomials_up_to(2, 2)
     rows = [
-        {M.columns[i].exps: int(v) for i, v in enumerate(row) if v}
-        for row in _no_swap_rref(M)
+        {columns[i].exps: int(v) for i, v in enumerate(row) if v}
+        for row in _no_swap_rref(_product_rows(F, 2), 7)
     ]
     assert rows == [{(2, 0): 1}, {(0, 2): 1}]
 
@@ -116,9 +94,9 @@ def test_rref_no_swap_row_correspondence(ring_xy):
     # earlier rows.  (A swapping eliminator has neither property.)
     p = 7
     gap = gap_quartic_system()
-    M = build_matrix(gap, 5)
-    R = _no_swap_rref(M)
-    data = [[int(v) for v in row] for row in M.data]
+    rows = _product_rows(gap, 5)
+    R = _no_swap_rref(rows, p)
+    data = rows.tolist()
 
     echelon: list[list[int]] = []  # oracle RREF of the prefix rows
 
@@ -193,10 +171,10 @@ def test_presets_solving_degree_and_basis_size(system, expected):
 def _closure_violations(F, d):
     """Rows that the degree-d elimination of F fails to contain.
 
-    The eliminator's row space must hold every row of build_matrix(F, d)
-    and x_i * r for every pivot row r of degree < d.  Products are formed
-    by monomial multiplication and placed by exponent lookup, apart from
-    the solver's column index.
+    The eliminator's row space must hold every product u*f_j of degree
+    <= d and x_i * r for every pivot row r of degree < d.  Products are
+    formed by monomial multiplication and placed by exponent lookup,
+    apart from the solver's column index.
     """
     polys = [f for f in F.polys if not f.is_zero()]
     elim = _Elimination(polys, d, F.ring.modulus.p, None)
@@ -205,7 +183,7 @@ def _closure_violations(F, d):
     variables = [Monomial(tuple(int(i == k) for i in range(F.ring.n)))
                  for k in range(F.ring.n)]
     bad = []
-    for k, row in enumerate(build_matrix(F, d).data):
+    for k, row in enumerate(_product_rows(F, d)):
         if np.any(engine.reduce_vector(row)):
             bad.append(("initial", k))
     for slot, c in enumerate(engine.pivot_cols):
@@ -320,6 +298,9 @@ def test_solve_degree_cap():
     with pytest.raises(DegreeCapExceeded) as exc:
         solve(gap, max_degree=4)
     assert [t.degree for t in exc.value.trace] == [4]
+    # A cap below the input degree 4 runs no degree: a usage error.
+    with pytest.raises(ValueError, match="below the largest input degree"):
+        solve(gap, max_degree=3)
 
 
 def test_solve_timeout():

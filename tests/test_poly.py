@@ -13,10 +13,10 @@ from solvdeg import (
     PrimeField,
     UnsupportedExtensionField,
     ZeroPolynomial,
-    degrevlex_cmp,
     dehomogenize_last,
     field_equations,
     homogenize,
+    homogenize_system,
     monomials_of_degree,
     monomials_up_to,
     top_part,
@@ -36,11 +36,17 @@ def brute_cmp(a, b):
     return 1 if last < 0 else -1
 
 
+def key_cmp(a, b):
+    """Three-way comparison of two monomials by Monomial.sort_key."""
+    ka, kb = a.sort_key(), b.sort_key()
+    return (ka > kb) - (ka < kb)
+
+
 def test_degree_one_order():
     x, y, z = Monomial((1, 0, 0)), Monomial((0, 1, 0)), Monomial((0, 0, 1))
-    assert degrevlex_cmp(x, y) == 1
-    assert degrevlex_cmp(y, z) == 1
-    assert degrevlex_cmp(z, x) == -1
+    assert key_cmp(x, y) == 1
+    assert key_cmp(y, z) == 1
+    assert key_cmp(z, x) == -1
 
 
 def test_degree_two_order_n3():
@@ -50,16 +56,16 @@ def test_degree_two_order_n3():
     for i, a in enumerate(expected):
         for j, b in enumerate(expected):
             want = 0 if i == j else (1 if i < j else -1)
-            assert degrevlex_cmp(Monomial(a), Monomial(b)) == want
+            assert key_cmp(Monomial(a), Monomial(b)) == want
 
 
 def test_mixed_exponent_comparison():
-    assert degrevlex_cmp(Monomial((1, 2, 0)), Monomial((2, 0, 1))) == 1
+    assert key_cmp(Monomial((1, 2, 0)), Monomial((2, 0, 1))) == 1
 
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
-        degrevlex_cmp(Monomial((1, 2)), Monomial((1, 2, 0)))
+        Monomial((1, 2)).mul(Monomial((1, 2, 0)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,7 +73,7 @@ def test_order_matches_definition_exhaustively(n):
     monos = [m.exps for d in range(7) for m in monomials_of_degree(n, d)]
     for a in monos:
         for b in monos:
-            assert degrevlex_cmp(Monomial(a), Monomial(b)) == brute_cmp(a, b)
+            assert key_cmp(Monomial(a), Monomial(b)) == brute_cmp(a, b)
 
 
 def test_order_refines_degree():
@@ -75,7 +81,7 @@ def test_order_refines_degree():
         for a in monomials_up_to(n, 6):
             for b in monomials_up_to(n, 6):
                 if a.degree > b.degree:
-                    assert degrevlex_cmp(a, b) == 1
+                    assert key_cmp(a, b) == 1
 
 
 def test_monomials_up_to_counts():
@@ -87,7 +93,7 @@ def test_monomials_up_to_counts():
             assert len(ms) == comb(n + d, n)
             # strictly descending
             for a, b in zip(ms, ms[1:]):
-                assert degrevlex_cmp(a, b) == 1
+                assert key_cmp(a, b) == 1
 
 
 def _ranks(index, monos):
@@ -205,6 +211,16 @@ def test_homogenize_preserves_terms_and_t1_recovers(ring_xyz):
             c.value for _, c in f.terms
         )
         assert dehomogenize_last(h, 1) == f
+
+
+def test_homogenize_system_names_new_variable():
+    # The new variable is t, or the first of t0, t1, ... not yet taken.
+    for names, new in [(("x", "y"), "t"), (("t", "t0"), "t1")]:
+        ring = PolynomialRing(names, PrimeField(7))
+        f = ring.poly({(1, 1): 1, (0, 0): 1})
+        H = homogenize_system(PolySystem(ring, (f,)))
+        assert H.ring.names == names + (new,)
+        assert H.polys == (homogenize(f),)
 
 
 def test_top_part_examples(ring_xy):

@@ -3,17 +3,15 @@
 Writes one JSON file holding, for the gap, pair and triple presets and
 the 120-system corpus of the `small-solve` benchmark workload, the
 per-degree trace (degree, rows, cols, rank, degree_falls), the solving
-degree and the reduced basis; the `build_matrix` data, multipliers,
-sources and columns for every 7th corpus system; and the Hilbert
-profiles of the six `semireg-sweep` systems, of the top systems of the
-corpus (p in {2, 7, 101, 2^31-1}, degrees 2 and 3 mixed) and of the
-three presets' top systems.  It prints two SHA-256
-digests: `full` of the JSON as written, and `results` of the same JSON
-without the per-degree `rows` and `degree_falls` columns, which count
-the solver's work rather than its answers.  A refactor that must not
-change results gives the same `full` digest on both checkouts; one that
-changes how many rows the solver feeds, on purpose, must still give the
-same `results` digest:
+degree and the reduced basis; and the Hilbert profiles of the six
+`semireg-sweep` systems, of the top systems of the corpus (p in {2, 7,
+101, 2^31-1}, degrees 2 and 3 mixed) and of the three presets' top
+systems.  It prints two SHA-256 digests: `full` of the JSON as
+written, and `results` of the same JSON without the per-degree `rows`
+and `degree_falls` columns, which count the solver's work rather than
+its answers.  A refactor that must not change results gives the same
+`full` digest on both checkouts; one that changes how many rows the
+solver feeds, on purpose, must still give the same `results` digest:
 
     PYTHONPATH=<old checkout>/src python tools/output_fingerprint.py old.json
     PYTHONPATH=src python tools/output_fingerprint.py new.json
@@ -29,7 +27,7 @@ import json
 import random
 import sys
 
-from solvdeg import build_matrix, solve
+from solvdeg import solve
 from solvdeg.analyze import hilbert_function_profile, is_artinian
 from solvdeg.presets import (
     gap_quartic_system,
@@ -86,14 +84,6 @@ def fingerprint() -> dict:
     for i, F in enumerate(_small_solve_corpus()):
         out[f"small{i}"] = _solve_record(F)
         out[f"hilbert_small{i}"] = _top_profile(F)
-        if i % 7 == 0:
-            M = build_matrix(F, max(F.degrees) + 1)
-            out[f"build_matrix{i}"] = [
-                hashlib.sha256(M.data.tobytes()).hexdigest(),
-                [list(m.exps) for m in M.multipliers],
-                list(M.sources),
-                [list(m.exps) for m in M.columns],
-            ]
     for n in (6, 8, 10):
         for s in (0, 1):
             F = random_system(7919, n, [2] * (n + 2),
