@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
 from .groebner import normal_form
-from .linalg import BLOCK_ROWS, RowReducer, _sub_matmul_mod
+from .linalg import BLOCK_ROWS, RowReducer, _kernel_dtype, _sub_matmul_mod
 from .macaulay import SolveTimeout, solve
 from .poly import (
     Monomial,
@@ -177,15 +177,18 @@ def _graded_rank(F: PolySystem, d: int) -> int:
     reach rank = the number of non-pivot columns, no other row can
     raise it, and the rest are skipped.
 
-    Exactness.  All entries are residues in [0, p).  Every product goes
-    through linalg._sub_matmul_mod: X - A*B with inner length k runs in
-    float64 only when _float_ok(p, k + 1), i.e. (p-1)^2 (k+3) < 2^53,
-    so every partial sum and the result, in (-(p-1)^2 k, p), are exact
-    integers; otherwise it runs in int64 chunks that stay below 2^62.
-    The inner lengths are the known pivot rows one run of the
-    back-substitution uses, at most |pivots|, and |pivots| for the
-    Schur rows: 3,787 at n = 10, d = 6, while p = 7919 allows about
-    1.4e8.  The RowReducer keeps its own gates.
+    Exactness.  The input coefficients are residues in [0, p), and every
+    product goes through linalg._sub_matmul_mod, whose results are
+    symmetric residues, |r| <= p - 1 (linalg.mod_p); the gates cover both
+    forms.  X - A*B with inner length k runs in a float dtype with M =
+    2^24 or 2^53 only when _float_ok(p, k + 1, dtype), i.e. (p-1)^2 (k+3)
+    < M, so every partial sum and the result, of magnitude at most
+    (p-1)^2 (k+1), are exact integers; otherwise it runs in int64 chunks
+    that stay below 2^62.  The inner lengths are the known pivot rows one
+    run of the back-substitution uses, at most |pivots|, and |pivots| for
+    the Schur rows, so X, C and S take the narrowest dtype whose gate
+    admits |pivots| + 1: 3,787 at n = 10, d = 6, while p = 7919 allows
+    about 1.4e8 in float64.  The RowReducer keeps its own gates.
     """
     n = F.ring.n
     p = F.ring.modulus.p
@@ -224,10 +227,12 @@ def _graded_rank(F: PolySystem, d: int) -> int:
     free_of = np.full(ncols + 1, nfree, dtype=np.int64)
     free_of[np.flatnonzero(piv_of[:ncols] == npiv)] = np.arange(nfree)
     eng = RowReducer(p, nfree, always_rref=False)
+    # The products below have inner length up to npiv, not nfree.
+    dtype = _kernel_dtype(p, npiv + 1)
 
     # [I | X] from the known pivot rows, in order of their pivot columns.
-    kcols, kcoeffs = cols[known], coeffs[known].astype(eng.dtype)
-    X = np.zeros((npiv, nfree + 1), dtype=eng.dtype)
+    kcols, kcoeffs = cols[known], coeffs[known].astype(dtype)
+    X = np.zeros((npiv, nfree + 1), dtype=dtype)
     X[np.arange(npiv)[:, None], free_of[kcols]] = kcoeffs
     X = np.ascontiguousarray(X[:, :nfree])
     _back_substitute(X, piv_of[kcols[:, 1:]], kcoeffs[:, 1:], p)
@@ -243,9 +248,9 @@ def _graded_rank(F: PolySystem, d: int) -> int:
         chunk = others[lo:lo + BLOCK_ROWS]
         ccols, ccoeffs = cols[chunk], coeffs[chunk]
         at = np.arange(len(chunk))[:, None]
-        C = np.zeros((len(chunk), npiv + 1), dtype=eng.dtype)
+        C = np.zeros((len(chunk), npiv + 1), dtype=dtype)
         C[at, piv_of[ccols]] = ccoeffs
-        S = np.zeros((len(chunk), nfree + 1), dtype=eng.dtype)
+        S = np.zeros((len(chunk), nfree + 1), dtype=dtype)
         S[at, free_of[ccols]] = ccoeffs
         _sub_matmul_mod(S[:, :nfree], C[:, :npiv], X, p)
         eng.add_rows(S[:, :nfree])

@@ -91,13 +91,11 @@ def quotient_series_coeffs(n: int, degrees: Sequence[int], cap: int) -> list[int
             raise ValueError("degrees must be >= 1")
         # Multiply by 1 + z + ... + z^(d-1) with a sliding window sum.
         acc = 0
-        window: list[int] = []
         out = [0] * (cap + 1)
         for k in range(cap + 1):
-            window.append(coeffs[k])
             acc += coeffs[k]
-            if len(window) > d:
-                acc -= window.pop(0)
+            if k >= d:
+                acc -= coeffs[k - d]
             out[k] = acc
         coeffs = out
     r = m - n
@@ -137,6 +135,8 @@ def regularity_from_series(n: int, degrees: Iterable[int]) -> int | None:
     Returns None when the sequence is not overdetermined enough for the
     series to go non-positive within the cap (m < n).
     """
+    if n < 1:
+        raise ValueError("need at least one variable")
     ds = sorted(degrees)
     m = len(ds)
     cap = _series_cap(ds)

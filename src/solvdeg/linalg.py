@@ -8,64 +8,108 @@ pivot rows are kept in reduced row echelon form at all times and can be
 read back; in cascade mode (rank-only workloads) the pivot rows are kept
 as a chain of internally reduced blocks, which roughly halves the work.
 
-All arithmetic is exact.  For small p the working matrices are float64 and
-the block updates run through BLAS, valid because every intermediate value
-is an integer strictly below 2**53 (see the _float_ok gates).  For large p
-the code falls back to int64 with chunked inner products.  Modular
-reduction of float arrays avoids hardware fmod, which is pathologically
-slow for large quotients, in favour of an exact floor-multiply.
+All arithmetic is exact.  For small p the working matrices are float32 or
+float64 and the block updates run through BLAS, valid because every
+intermediate value is an integer below the dtype's 2^24 or 2^53 (see
+_float_ok); the narrowest dtype whose gate admits the row width is used,
+so the smallest primes get single precision and twice the BLAS speed.
+For large p the code falls back to int64 with chunked inner products.
+Float arrays are reduced to symmetric residues, |r| <= p - 1, by one
+rounded multiply (mod_p), which avoids the slow hardware fmod and any
+correction pass; the residues are mapped to [0, p) only when read back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_FLOAT_EXACT = 2**53
+# Every integer of magnitude <= 2^(mantissa bits + 1) is a float of the dtype.
+_FLOAT_EXACT = {np.dtype(t): 2 ** (np.finfo(t).nmant + 1)
+                for t in (np.float32, np.float64)}
 _INT_SAFE = 2**62
 _LEAF = 32
 # Rows are eliminated, and fed by the row builders, in blocks of this many.
 BLOCK_ROWS = 512
 
 
-def _float_ok(p: int, inner: int) -> bool:
-    """True if float64 sums of `inner` products of residues mod p are exact."""
-    return (p - 1) ** 2 * (inner + 2) < _FLOAT_EXACT
+def _float_ok(p: int, inner: int, dtype) -> bool:
+    """True if sums of `inner` products mod p are exact in float `dtype`.
+
+    The gate is (p - 1)^2 (inner + 2) < M, where M = 2^24 for float32 and
+    2^53 for float64.  Every kernel input is either a residue in [0, p)
+    or a mod_p result, |r| <= p - 1, so in both forms each product has
+    magnitude at most (p - 1)^2 < M and is exact, and every partial sum
+    of `inner` products, in any order, is an integer of magnitude at most
+    (p - 1)^2 inner < M, so exact as well.  The two spare terms keep the
+    sums inside mod_p's domain |a| <= M - p, since
+    (p - 1)^2 inner < M - 2 (p - 1)^2 and 2 (p - 1)^2 >= p for p >= 2.
+    _sub_matmul_mod gates inner + 1, which leaves room for |X| <= p - 1:
+    |X - A*B| <= (p - 1)^2 (inner + 1) < M - 2 (p - 1)^2.  The leaf loop
+    of RowReducer defers mod_p over at most _LEAF - 1 updates f*row, with
+    f in [0, p) and |row| <= p - 1, on entries of magnitude <= p - 1, so
+    entries reach at most (p - 1)^2 _LEAF; it gates _LEAF + 2, which
+    keeps them below M - 4 (p - 1)^2.
+    """
+    return (p - 1) ** 2 * (inner + 2) < _FLOAT_EXACT[np.dtype(dtype)]
+
+
+def _kernel_dtype(p: int, inner: int) -> np.dtype:
+    """The narrowest dtype whose gate admits products of length `inner`."""
+    for dtype in _FLOAT_EXACT:
+        if _float_ok(p, inner, dtype):
+            return dtype
+    return np.dtype(np.int64)
 
 
 def mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Exact in-place reduction mod p of an array of integral values.
 
-    Exactness: |a| < 2**53 - p is guaranteed by the callers' gates, the
-    rounded reciprocal perturbs the true quotient by less than 1 (by
-    exactly 0 for p = 2), and one correction pass repairs the off-by-one.
+    An int array is reduced to [0, p).  A float array is reduced to
+    symmetric residues, r = a - rint(a * fl(1/p)) * p: r is congruent to
+    a, |r| <= p - 1, and r = 0 exactly when p divides a.  Callers map r
+    to [0, p) where values leave the kernel.
+
+    Proof.  Let the dtype carry t significand bits (24 for float32, 53
+    for float64), M = 2^t and u = 2^-t, and let the gates (_float_ok)
+    ensure |a| <= M - p.  Integers of magnitude <= M are floats, so a
+    and p are exact, and a rounding to nearest has relative error at most
+    u: w = fl(1/p) = (1 + e1)/p and q = fl(a w) = (a/p)(1 + e1)(1 + e2)
+    with |e1|, |e2| <= u.  The quotient's error E = q - a/p is below 1/2:
+
+    - p = 2: 1/2 and a/2 are exact, so E = 0.
+    - p = 3: 1/3 = 0.0101..._2 is cut with relative error exactly u/2,
+      so |E| <= (|a|/3) u (3/2 + u/2) <= (1 - 3u)(1/2 + u/6) < 1/2.
+    - p >= 5: |E| <= (|a|/p) u (2 + u) < (2 + u)/5 < 1/2.
+
+    Let k = rint(q), so |a/p - k| <= 1/2 + |E| < 1.  Then |k p| < |a| + p
+    <= M, so k p is exact, and a - k p, an integer of magnitude at most
+    p/2 + p |E|, is exact too.  If p divides a, a/p is an integer within
+    |E| < 1/2 of q, so k = a/p and r = 0: the pivot search, which takes
+    the first nonzero entry, relies on this.  The bound on |r|: for p = 2
+    it is 1; for p = 3, |r| < 3/2 + 3/2, so |r| <= 2; for p >= 5,
+    p |E| <= (M - p) u (2 + u) < 2, so |r| < p/2 + 2 and, p being odd,
+    |r| <= (p + 3)/2 <= p - 1.
     """
-    if a.dtype == np.float64:
-        q = a * (1.0 / p)
-        np.floor(q, out=q)
+    if a.dtype.kind == "f":
+        q = a * (1 / a.dtype.type(p))
+        np.rint(q, out=q)
         q *= p
         a -= q
-        a -= p * (a >= p)
-        a += p * (a < 0)
         return a
     np.mod(a, p, out=a)
     return a
 
 
-def _fix_negative(a: np.ndarray, p: int) -> np.ndarray:
-    """Map values in (-p, p) to [0, p), in place."""
-    if a.dtype == np.float64:
-        a += p * (a < 0)
-    else:
-        np.mod(a, p, out=a)
-    return a
-
-
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact (A @ B) mod p for matrices of residues in [0, p)."""
+    """Exact (A @ B) mod p for matrices of one dtype with |entries| < p.
+
+    Entries may be residues in [0, p) or mod_p results.  The result is
+    symmetric (mod_p) on the float path and in [0, p) on the int64 path.
+    """
     inner = A.shape[1]
     if inner == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=A.dtype)
-    if A.dtype == np.float64 and _float_ok(p, inner):
+    if A.dtype.kind == "f" and _float_ok(p, inner, A.dtype):
         res = A @ B
         return mod_p(res, p)
     A64 = A.astype(np.int64, copy=False)
@@ -82,15 +126,14 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sub_matmul_mod(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
-    """In place: X := (X - A @ B) mod p, with one fused reduction."""
+    """In place: X := (X - A @ B) mod p, with one fused mod_p."""
     if A.shape[1] == 0:
         return
-    if X.dtype == np.float64 and _float_ok(p, A.shape[1] + 1):
+    if X.dtype.kind == "f" and _float_ok(p, A.shape[1] + 1, X.dtype):
         X -= A @ B
-        mod_p(X, p)
     else:
         X -= matmul_mod(A, B, p)
-        _fix_negative(X, p)
+    mod_p(X, p)
 
 
 class RowReducer:
@@ -100,9 +143,10 @@ class RowReducer:
         self.p = p
         self.ncols = ncols
         self.always_rref = always_rref
-        self.dtype = np.float64 if _float_ok(p, ncols) else np.int64
+        self.dtype = _kernel_dtype(p, ncols)
         # Deferral of mod inside a leaf accumulates up to _LEAF products.
-        self._defer = self.dtype == np.float64 and _float_ok(p, _LEAF + 2)
+        self._defer = (self.dtype.kind == "f"
+                       and _float_ok(p, _LEAF + 2, self.dtype))
         # Rank never exceeds ncols; allocating the full pivot store up
         # front keeps views stable.  Only truly huge matrices grow lazily.
         self._cap = ncols if ncols <= 8192 else 1024
@@ -127,18 +171,18 @@ class RowReducer:
         self._P = P
         self._cap = cap
 
-    # -- reading back --------------------------------------------------------
+    # -- reading back: residues leave in [0, p) ----------------------------
 
     def pivot_row(self, slot: int) -> np.ndarray:
         """Content of a pivot slot (fully reduced in always_rref mode)."""
-        return self._P[slot].copy()
+        return np.mod(self._P[slot], self.p)
 
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
         """Normal form of one row against the current pivot rows."""
         w = np.array(v, dtype=self.dtype).reshape(1, -1)
         mod_p(w, self.p)
         self._cascade(w)
-        return w[0]
+        return np.mod(w[0], self.p)
 
     # -- feeding -------------------------------------------------------------
 
@@ -232,7 +276,7 @@ class RowReducer:
             cols = np.asarray(self.pivot_cols[lo_before:lo_after], dtype=np.intp)
             N1 = self._P[lo_before:lo_after]
             rest = B[h:]
-            coeffs = rest[:, cols] % p
+            coeffs = rest[:, cols]  # reduced, like every row outside a leaf
             if np.any(coeffs):
                 _sub_matmul_mod(rest, coeffs, N1, p)
         slots.extend(self._process_new(B[h:]))

@@ -137,7 +137,8 @@ class _Elimination:
         self.fed_for_slot: dict[int, tuple[int, bool]] = {}
         self.rows_fed = 0
         self.fall_events = 0
-        self._block = np.zeros((BLOCK_ROWS, self.index.size), dtype=np.float64)
+        self._block = np.zeros((BLOCK_ROWS, self.index.size),
+                               dtype=self.engine.dtype)
         self._tags = np.zeros(BLOCK_ROWS, dtype=np.int64)
         self._initial = np.zeros(BLOCK_ROWS, dtype=bool)
         self._filled = 0

@@ -17,6 +17,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 from solvdeg import PolySystem, PolynomialRing, PrimeField
@@ -55,6 +56,23 @@ def oracle_rank(rows: list[list[int]], p: int) -> int:
     """The rank over GF(p): the nonzero rows of an RREF are distinct, so
     they are as many as the rank."""
     return len(oracle_rref_rows(rows, p))
+
+
+def residue_bound(p: int) -> int:
+    """The bound on |linalg.mod_p(a)| that mod_p's docstring proves."""
+    return p - 1 if p <= 3 else (p + 3) // 2
+
+
+def assert_residues(got, want, p: int, canonical: bool = False) -> None:
+    """got holds exact residues of the Python ints in want: congruent mod
+    p and, as mod_p leaves float values, |got| <= residue_bound(p), or
+    in [0, p) where the int64 path or a read-back canonicalised them."""
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert g == int(g) and (int(g) - int(w)) % p == 0, (p, g, w)
+        if canonical:
+            assert 0 <= g < p, (p, g, w)
+        else:
+            assert abs(g) <= residue_bound(p), (p, g, w)
 
 
 def oracle_series(n: int, degrees: list[int], cap: int) -> list[int]:

@@ -159,6 +159,17 @@ def test_bound_domain_error_exit_2(capsys):
     assert code == 2 and "equations" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["-n", "0", "-m", "2", "-d", "2"],   # all quadrics: the fast path
+    ["-n", "-2", "-m", "2", "-d", "2"],
+    ["-n", "0", "-m", "1", "-d", "3"],   # the generic series
+], ids=["quadrics-n0", "quadrics-n-2", "cubic-n0"])
+def test_bound_semiregular_without_variables_exit_2(args, capsys):
+    code, out, err = run_cli(["bound", "--semiregular"] + args, capsys)
+    assert code == 2 and out == ""
+    assert "need at least one variable" in err
+
+
 def test_solve_file(tmp_path, capsys):
     path = tmp_path / "gap.sys"
     path.write_text(GAP_TEXT)

@@ -5,7 +5,7 @@ import pytest
 
 from solvdeg.linalg import RowReducer, matmul_mod, mod_p, rank_mod_p
 
-from conftest import oracle_rank, oracle_rref_rows
+from conftest import assert_residues, oracle_rank, oracle_rref_rows
 
 PRIMES = [2, 3, 5, 7, 101, 7919, 65537, 2**31 - 1]
 
@@ -143,19 +143,32 @@ def test_determinism():
         assert np.array_equal(a.pivot_row(s), b.pivot_row(s))
 
 
+def assert_mod_p_exact(vals, dtype, p):
+    got = mod_p(np.array(vals, dtype=dtype), p)
+    assert got.dtype == dtype
+    assert_residues(got, vals, p)
+
+
 def test_mod_p_edge_values():
     p = 7919
-    vals = np.array([
-        0.0, 1.0, p - 1.0, float(p), float(p) * 12345,
-        -1.0, -float(p), float((p - 1) ** 2 * 500),
-        float(2**53 - p - 1), -float(2**53 - p - 1),
-    ])
-    got = mod_p(vals.copy(), p)
-    expect = np.array([v % p for v in vals.astype(object).tolist()], dtype=float)
-    assert np.array_equal(got, expect)
-    # p = 2: the reciprocal is exact
-    vals2 = np.array([float(2**52 + 1), float(2**52), -3.0, 5.0])
-    assert np.array_equal(mod_p(vals2.copy(), 2), np.array([1.0, 0.0, 1.0, 1.0]))
+    vals = [
+        0, 1, p - 1, p, p * 12345,
+        -1, -p, (p - 1) ** 2 * 500,
+        2**53 - p - 1, -(2**53 - p - 1),
+    ]
+    # Inputs in symmetric form, and the ends of the domain |a| <= M - p.
+    symmetric = [(p - 1) // 2, -(p - 1) // 2, (p + 1) // 2, 1 - p,
+                 2**53 - p, p - 2**53]
+    assert_mod_p_exact(vals + symmetric, np.float64, p)
+    # Multiples of p reduce to exactly 0: the pivot search needs this.
+    assert not np.any(mod_p(np.array([p, -p, p * 12345.0]), p))
+    # p = 2: the reciprocal is exact, and odd values land on +-1.
+    assert_mod_p_exact([2**52 + 1, 2**52, -3, 5, -1, 0], np.float64, 2)
+    # float32: the same edges below 2^24.
+    for q in (2, 3, 7, 359):
+        assert_mod_p_exact([0, 1, q - 1, 1 - q, q, -q, (q - 1) ** 2 * 100,
+                            2**24 - q, q - 2**24, 2**24 - q - 1],
+                           np.float32, q)
 
 
 def test_matmul_mod_large_prime_int_path():
@@ -173,6 +186,8 @@ def test_mod_p_randomized_against_python_int():
     for p in (2, 3, 7, 101, 7919, 40009):
         bound = 2**53 - p - 1
         vals = rng.integers(-bound, bound, 4000).astype(np.float64)
-        got = mod_p(vals.copy(), p)
-        expect = np.array([int(v) % p for v in vals], dtype=np.float64)
-        assert np.array_equal(got, expect), p
+        assert_mod_p_exact(vals.tolist(), np.float64, p)
+    for p in (2, 3, 7, 101, 359, 4093):
+        bound = 2**24 - p
+        vals = rng.integers(-bound, bound + 1, 4000)
+        assert_mod_p_exact(vals.tolist(), np.float32, p)

@@ -474,7 +474,7 @@ def test_solve_matches_oracle_property():
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(
-        p=st.sampled_from((2, 7, 101)),
+        p=st.sampled_from((2, 3, 7, 101)),
         n=st.integers(1, 3),
         extra=st.integers(0, 2),
         degrees=st.lists(st.integers(2, 3), min_size=5, max_size=5),
