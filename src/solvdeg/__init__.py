@@ -17,7 +17,6 @@ from .poly import (
     PolySystem,
     Polynomial,
     PolynomialRing,
-    UnsupportedExtensionField,
     ZeroPolynomial,
     dehomogenize_last,
     field_equations,

@@ -9,9 +9,17 @@ inputs echelonized, most columns have a row that leads there, known
 without elimination, and only the Schur complement on the other columns
 goes through dense elimination.
 
+One walk (_hilbert_walk) answers the Hilbert questions about a system:
+HF(F, 0), HF(F, 1), ... through the first zero, or through the Macaulay
+bound if no degree fills up.  is_artinian, degree_of_regularity,
+regularity_from_hilbert and analyze_system's d_reg, witness and profile
+all read it; the semi-regularity tests compare the same values, degree
+by degree, with the series prediction and stop at the first mismatch.
+
 analyze_system(timeout=) holds one deadline for the whole call: the
-Hilbert-function loops check it between degrees, and each solve gets
-the time left.
+Hilbert-function loops check it between degrees, with the same check
+(macaulay._check_deadline) that solve uses, and each solve gets the
+time left.
 """
 
 from __future__ import annotations
@@ -24,10 +32,10 @@ from math import comb
 
 import numpy as np
 
-from .bounds import Underdetermined, macaulay_bound
+from .bounds import Underdetermined, macaulay_bound, semiregular_series
 from .groebner import normal_form
 from .linalg import BLOCK_ROWS, RowReducer, _kernel_dtype, _sub_matmul_mod
-from .macaulay import SolveTimeout, solve
+from .macaulay import _check_deadline, solve
 from .poly import (
     Monomial,
     MonomialIndex,
@@ -279,16 +287,11 @@ def hilbert_function(F: PolySystem, d: int) -> int:
 
 def hilbert_function_profile(F: PolySystem, dmax: int) -> tuple[int, ...]:
     """Hilbert function values for d = 0..dmax."""
-    return tuple(hilbert_function(F, d) for d in range(dmax + 1))
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() >= deadline:
-        raise SolveTimeout("analysis deadline expired", ())
+    return tuple(_hilbert_values(F, range(dmax + 1), None))
 
 
 def _remaining(deadline: float | None) -> float | None:
-    """Seconds left before the deadline; raises once it has passed."""
+    """Seconds left before the deadline; raises once it is reached."""
     _check_deadline(deadline)
     return None if deadline is None else deadline - time.monotonic()
 
@@ -301,42 +304,46 @@ def _hilbert_values(F: PolySystem, degrees, deadline: float | None):
         yield hilbert_function(F, d)
 
 
+def _hilbert_walk(F: PolySystem,
+                  deadline: float | None) -> tuple[int, ...]:
+    """HF(F, 0), HF(F, 1), ... through the first zero.
+
+    If no degree fills up, the walk ends at the Macaulay bound (3 * the
+    largest degree when there are fewer equations than variables), and
+    it always includes degree 0, where a nonzero constant fills up.
+    """
+    _require_homogeneous(F)
+    try:
+        cap = macaulay_bound(F.ring.n, F.degrees)
+    except Underdetermined:
+        cap = 3 * max(F.degrees, default=0)
+    values = []
+    for hf in _hilbert_values(F, range(max(cap, 0) + 1), deadline):
+        values.append(hf)
+        if hf == 0:
+            break
+    return tuple(values)
+
+
 # -- regularity-style quantities -------------------------------------------------
 
 
-def _default_cap(degrees: tuple[int, ...], n: int) -> int:
-    if not degrees:
-        return 0
-    try:
-        return macaulay_bound(n, degrees)
-    except Underdetermined:
-        return 3 * max(degrees)
-
-
-def degree_of_regularity(F: PolySystem, cap: int | None = None) -> float:
-    """Least d where the top parts span all degree-d forms; inf if none.
+def degree_of_regularity(F: PolySystem) -> float:
+    """Least d where the top parts span all degree-d forms; inf if none
+    within the Macaulay bound.
 
     Works for homogeneous and inhomogeneous systems alike (a homogeneous
     system is its own top part).
     """
-    _, witness = is_artinian(top_system(F), cap)
+    _, witness = is_artinian(top_system(F))
     return math.inf if witness is None else witness
 
 
-def is_artinian(F: PolySystem, cap: int | None = None) -> tuple[bool, int | None]:
-    """Does some graded piece fill up?  Answer is definitive only up to cap."""
-    return _is_artinian(F, cap, None)
-
-
-def _is_artinian(F: PolySystem, cap: int | None,
-                 deadline: float | None) -> tuple[bool, int | None]:
-    _require_homogeneous(F)
-    if cap is None:
-        cap = _default_cap(F.degrees, F.ring.n)
-    for d, hf in enumerate(_hilbert_values(F, range(cap + 1), deadline)):
-        if hf == 0:
-            return True, d
-    return False, None
+def is_artinian(F: PolySystem) -> tuple[bool, int | None]:
+    """Does some graded piece fill up?  (True, the least such degree), or
+    (False, None) if none does within the Macaulay bound."""
+    walk = _hilbert_walk(F, None)
+    return (True, len(walk) - 1) if walk[-1] == 0 else (False, None)
 
 
 def regularity_from_hilbert(F: PolySystem) -> int:
@@ -351,24 +358,25 @@ def regularity_from_hilbert(F: PolySystem) -> int:
 
 
 def _crypto_test(F: PolySystem, deadline: float | None) -> bool:
-    """Hilbert function against the truncated series prediction."""
-    from .bounds import semiregular_series
+    """Hilbert function against the truncated series prediction.
 
+    The prediction is the series' initial positive run followed by one
+    0, compared through degree sum(d_i - 1) + 1 at most: an
+    underdetermined sequence never fills up, and equality through that
+    degree is as definitive as a finite computation gets.  A nonzero
+    constant (some d_i = 0) makes prod(1 - z^d_i) = 0, and the unit
+    ideal it generates has HF = 0.
+    """
     _require_homogeneous(F)
     degrees = F.degrees
-    n = F.ring.n
-    if not degrees:
+    if not degrees or 0 in degrees:
         return True
-    predicted = semiregular_series(n, degrees)
     cap = sum(d - 1 for d in degrees) + 1
-    for d, hf in enumerate(_hilbert_values(F, range(cap + 1), deadline)):
-        if hf != predicted.coefficient(d):
-            return False
-        if hf == 0:
-            return True
-    # Underdetermined sequences never fill up; equality held through the
-    # cap, which is as definitive as a finite computation gets.
-    return True
+    predicted = semiregular_series(F.ring.n, degrees).coeffs + (0,)
+    values = _hilbert_values(F, range(cap + 1), deadline)
+    # The prediction goes first: once it runs out, zip stops without
+    # computing one more Hilbert value.
+    return all(want == got for want, got in zip(predicted, values))
 
 
 def semiregular_test(F: PolySystem, mode: str = "crypto") -> bool:
@@ -389,10 +397,8 @@ def _semiregular_test(F: PolySystem, mode: str,
     if mode == "pardue_prefix":
         _require_homogeneous(F)
         polys = F.nonzero()
-        for ell in range(1, len(polys) + 1):
-            if not _crypto_test(PolySystem(F.ring, polys[:ell]), deadline):
-                return False
-        return True
+        return all(_crypto_test(PolySystem(F.ring, polys[:ell]), deadline)
+                   for ell in range(1, len(polys) + 1))
     if mode == "inhomogeneous":
         return _crypto_test(homogenize_system(F), deadline)
     raise ValueError(f"unknown mode {mode!r}")
@@ -441,22 +447,23 @@ def max_groebner_degree(F: PolySystem, *, timeout: float | None = None) -> int:
 # -- the assembled report --------------------------------------------------------------
 
 
-def analyze_system(F: PolySystem, *, cap: int | None = None,
-                   include_groebner: bool = True,
+def analyze_system(F: PolySystem, *, include_groebner: bool = True,
                    timeout: float | None = None) -> AnalysisReport:
     """Compute the full diagnostic bundle for a system.
 
+    One Hilbert walk of the top system gives d_reg, the Artinian witness
+    and `hilbert_function`: HF from degree 0 through the first zero, or
+    through the Macaulay bound if no degree fills up (empty for a system
+    without nonzero polynomials).
+
     `timeout` bounds the whole call: the Hilbert-function loops check
     one deadline between degrees, and each solve gets the time left.
-    Past it, SolveTimeout is raised.
+    Once it is reached, SolveTimeout is raised.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     homogeneous = F.is_homogeneous
-    T = top_system(F)
-    artinian, witness = _is_artinian(T, cap, deadline)
-    profile_cap = witness if artinian else _default_cap(T.degrees, T.ring.n)
-    profile = (tuple(_hilbert_values(T, range(profile_cap + 1), deadline))
-               if F.nonzero() else ())
+    walk = _hilbert_walk(top_system(F), deadline)
+    witness = len(walk) - 1 if walk[-1] == 0 else None
     crypto = _semiregular_test(
         F, "crypto" if homogeneous else "inhomogeneous", deadline)
     pardue = (_semiregular_test(F, "pardue_prefix", deadline)
@@ -466,12 +473,12 @@ def analyze_system(F: PolySystem, *, cap: int | None = None,
     maxgb = (max_groebner_degree(F, timeout=_remaining(deadline))
              if include_groebner else None)
     return AnalysisReport(
-        d_reg=witness if artinian else math.inf,
-        is_artinian=artinian,
+        d_reg=math.inf if witness is None else witness,
+        is_artinian=witness is not None,
         artinian_witness_degree=witness,
         crypto_semiregular=crypto,
         pardue_prefix_semiregular=pardue,
         t_nonzerodivisor=t_nzd,
         max_groebner_degree=maxgb,
-        hilbert_function=profile,
+        hilbert_function=walk if F.nonzero() else (),
     )

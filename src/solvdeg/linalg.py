@@ -264,7 +264,12 @@ class RowReducer:
                 N = self._P[created[0] : created[-1] + 1]
                 cols = np.asarray(self.pivot_cols[created[0] :], dtype=np.intp)
                 T = N[:, cols].copy()
-                self._solve_unit_upper(T, N)
+                # N := T^-1 N, bottom row up.
+                for i in range(len(created) - 2, -1, -1):
+                    coeffs = T[i, i + 1 :].reshape(1, -1)
+                    if np.any(coeffs):
+                        _sub_matmul_mod(N[i].reshape(1, -1), coeffs,
+                                        N[i + 1 :], p)
             return slots
 
         h = n // 2
@@ -290,23 +295,6 @@ class RowReducer:
             if np.any(coeffs):
                 _sub_matmul_mod(N1, coeffs, N2, p)
         return slots
-
-    def _solve_unit_upper(self, T: np.ndarray, N: np.ndarray) -> None:
-        """In place: N := T^{-1} N for unit upper triangular T (mod p)."""
-        p = self.p
-        b = T.shape[0]
-        if b <= _LEAF:
-            for i in range(b - 2, -1, -1):
-                coeffs = T[i, i + 1 :].reshape(1, -1)
-                if np.any(coeffs):
-                    _sub_matmul_mod(N[i].reshape(1, -1), coeffs, N[i + 1 :], p)
-            return
-        h = b // 2
-        self._solve_unit_upper(T[h:, h:], N[h:])
-        C = np.ascontiguousarray(T[:h, h:])
-        if np.any(C):
-            _sub_matmul_mod(N[:h], C, N[h:], p)
-        self._solve_unit_upper(T[:h, :h], N[:h])
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:

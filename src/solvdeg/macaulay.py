@@ -61,6 +61,13 @@ class SolveTimeout(RuntimeError):
         self.trace = trace
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """Raise SolveTimeout once the deadline is reached: a deadline equal
+    to the clock counts as expired, so timeout=0 always stops."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SolveTimeout("deadline expired", ())
+
+
 @dataclass(frozen=True)
 class DegreeTrace:
     """What happened at one degree: matrix size, rank, fall count.
@@ -150,10 +157,6 @@ class _Elimination:
         self._flush()
         self._close()
 
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SolveTimeout("solve deadline expired", ())
-
     # row building -----------------------------------------------------------
 
     def _queue_products(self, keys: np.ndarray, coeffs: np.ndarray,
@@ -181,7 +184,7 @@ class _Elimination:
     def _flush(self) -> None:
         if not self._filled:
             return
-        self._check_deadline()
+        _check_deadline(self.deadline)
         filled = self._filled
         slots = self.engine.add_rows(self._block[:filled])
         self._block[:filled] = 0
@@ -199,7 +202,7 @@ class _Elimination:
         variables = _ascending_keys(self.n, 1)[1:]
         visited = 0  # slots are numbered in order of appearance
         while visited < engine.rank:
-            self._check_deadline()
+            _check_deadline(self.deadline)
             start, visited = visited, engine.rank
             for slot in range(start, visited):
                 c = engine.pivot_cols[slot]

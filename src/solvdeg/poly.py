@@ -29,10 +29,6 @@ class ZeroPolynomial(ValueError):
     """Operation undefined for the zero polynomial."""
 
 
-class UnsupportedExtensionField(ValueError):
-    """Field equations requested for q different from the base prime."""
-
-
 @dataclass(frozen=True)
 class Monomial:
     """A power product, stored as its exponent vector."""
@@ -427,13 +423,9 @@ def top_system(F: PolySystem) -> PolySystem:
     )
 
 
-def field_equations(ring: PolynomialRing, q: int | None = None) -> list[Polynomial]:
-    """The equations x_i^q - x_i for the ring's own prime q = p."""
+def field_equations(ring: PolynomialRing) -> list[Polynomial]:
+    """The equations x_i^p - x_i for the ring's prime p."""
     p = ring.modulus.p
-    if q is not None and q != p:
-        raise UnsupportedExtensionField(
-            f"field equations for q={q} over GF({p}) are not supported"
-        )
     out = []
     for i in range(ring.n):
         hi = [0] * ring.n

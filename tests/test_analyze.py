@@ -205,6 +205,35 @@ def test_is_artinian_examples(ring_xy):
     ) == (True, 4)
 
 
+def test_unit_ideal_fills_degree_0(ring_xy):
+    # {1, 2}: the Macaulay bound is -1, but degree 0 is always walked.
+    F = PolySystem(ring_xy, (ring_xy.poly({(0, 0): 1}),
+                             ring_xy.poly({(0, 0): 2})))
+    assert is_artinian(F) == (True, 0)
+    assert degree_of_regularity(F) == 0
+    assert regularity_from_hilbert(F) == 0
+    assert hilbert_function_profile(F, 2) == (0, 0, 0)
+
+
+def test_unit_ideal_is_semiregular(ring_xy):
+    three = ring_xy.poly({(0, 0): 3})
+    x = ring_xy.poly({(1, 0): 1})
+    F = PolySystem(ring_xy, (three, x))
+    assert semiregular_test(F, "crypto") is True
+    assert semiregular_test(F, "pardue_prefix") is True
+    R1 = PolynomialRing(("x",), PrimeField(7))
+    G = PolySystem(R1, (R1.poly({(2,): 1, (0,): 1}), R1.poly({(0,): 3})))
+    assert semiregular_test(G, "inhomogeneous") is True
+    rep = analyze_system(F)
+    assert (rep.d_reg, rep.is_artinian, rep.artinian_witness_degree) == (
+        0, True, 0)
+    assert rep.hilbert_function == (0,)
+    assert rep.max_groebner_degree == 0
+    rep = analyze_system(G, include_groebner=False)
+    assert rep.d_reg == 0 and rep.hilbert_function == (0,)
+    assert rep.crypto_semiregular is True and rep.t_nonzerodivisor is True
+
+
 def test_regularity_from_hilbert(ring_xy):
     F = _monomial_system(ring_xy, (2, 0), (0, 2), (1, 1))
     assert regularity_from_hilbert(F) == 2
@@ -359,3 +388,12 @@ def test_analyze_timeout_bounds_all_work():
     assert time.monotonic() - start < 1.0
     with pytest.raises(SolveTimeout):
         analyze_system(gap_quartic_system(), timeout=0)
+
+
+@pytest.mark.parametrize("run", [solve, analyze_system])
+def test_timeout_zero_expires_on_a_frozen_clock(monkeypatch, run):
+    # A deadline that has been reached counts as expired, even when the
+    # clock has not moved since it was set.
+    monkeypatch.setattr(time, "monotonic", lambda: 1000.0)
+    with pytest.raises(SolveTimeout):
+        run(gap_quartic_system(), timeout=0)

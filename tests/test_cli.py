@@ -237,6 +237,23 @@ def test_analyze_timeout_zero_exit_1(tmp_path, capsys):
     assert "deadline" in err
 
 
+def test_analyze_unit_ideal(tmp_path, capsys):
+    # A nonzero constant generates the unit ideal: HF(0) = 0, which is
+    # also the prediction prod(1 - z^d_i) / (1 - z)^n with a d_i = 0.
+    path = tmp_path / "unit.sys"
+    path.write_text("field 7\nvars x,y\n3\nx\n")
+    code, out, _ = run_cli(["analyze", str(path), "--json"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["d_reg"] == 0
+    assert result["hilbert_function"] == [0]
+    assert result["crypto_semiregular"] is True
+    # The series bound itself still rejects degree 0.
+    code, out, err = run_cli(
+        ["bound", "--semiregular", "-n", "2", "--degrees", "0,1"], capsys)
+    assert code == 2 and "degrees must be >= 1" in err
+
+
 def test_table_cli(capsys):
     code, out, _ = run_cli(
         ["table", "--k-min", "2", "--k-max", "3", "--n-min", "2",

@@ -11,7 +11,6 @@ from solvdeg import (
     Polynomial,
     PolynomialRing,
     PrimeField,
-    UnsupportedExtensionField,
     ZeroPolynomial,
     dehomogenize_last,
     field_equations,
@@ -257,8 +256,6 @@ def test_field_equations():
     assert {(m.exps, c.value) for m, c in f.terms} == {((2,), 1), ((1,), 1)}
     R3 = PolynomialRing(("x", "y"), PrimeField(3))
     assert len(field_equations(R3)) == 2
-    with pytest.raises(UnsupportedExtensionField):
-        field_equations(R7, q=49)
 
 
 def test_system_flags(ring_xy):

@@ -6,12 +6,15 @@ per-degree trace (degree, rows, cols, rank, degree_falls), the solving
 degree and the reduced basis; and the Hilbert profiles of the six
 `semireg-sweep` systems, of the top systems of the corpus (p in {2, 7,
 101, 2^31-1}, degrees 2 and 3 mixed) and of the three presets' top
-systems.  It prints two SHA-256 digests: `full` of the JSON as
-written, and `results` of the same JSON without the per-degree `rows`
-and `degree_falls` columns, which count the solver's work rather than
-its answers.  A refactor that must not change results gives the same
-`full` digest on both checkouts; one that changes how many rows the
-solver feeds, on purpose, must still give the same `results` digest:
+systems; and the analysis report `analyze_system(F,
+include_groebner=False)` of the gap preset and of the corpus (not of
+pair and triple, where that call takes 24 s and 469 s).  It prints two
+SHA-256 digests: `full` of the JSON as written, and `results` of the
+same JSON without the per-degree `rows` and `degree_falls` columns,
+which count the solver's work rather than its answers.  A refactor
+that must not change results gives the same `full` digest on both
+checkouts; one that changes how many rows the solver feeds, on purpose,
+must still give the same `results` digest:
 
     PYTHONPATH=<old checkout>/src python tools/output_fingerprint.py old.json
     PYTHONPATH=src python tools/output_fingerprint.py new.json
@@ -22,13 +25,18 @@ The triple preset dominates the run time.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 import sys
 
 from solvdeg import solve
-from solvdeg.analyze import hilbert_function_profile, is_artinian
+from solvdeg.analyze import (
+    analyze_system,
+    hilbert_function_profile,
+    is_artinian,
+)
 from solvdeg.presets import (
     gap_quartic_system,
     pair_product_system,
@@ -50,6 +58,14 @@ def _solve_record(F) -> dict | str:
         "basis": [[(list(m.exps), c.value) for m, c in g.terms]
                   for g in rep.basis],
     }
+
+
+def _analysis_record(F) -> dict | str:
+    try:
+        rep = analyze_system(F, include_groebner=False)
+    except Exception as exc:  # a failure is part of the output to compare
+        return repr(exc)
+    return dataclasses.asdict(rep)
 
 
 def _top_profile(F) -> list[int]:
@@ -81,9 +97,11 @@ def fingerprint() -> dict:
                      ("triple", triple_product_system())]:
         out[label] = _solve_record(F)
         out[f"hilbert_{label}"] = _top_profile(F)
+    out["analysis_gap"] = _analysis_record(gap_quartic_system())
     for i, F in enumerate(_small_solve_corpus()):
         out[f"small{i}"] = _solve_record(F)
         out[f"hilbert_small{i}"] = _top_profile(F)
+        out[f"analysis_small{i}"] = _analysis_record(F)
     for n in (6, 8, 10):
         for s in (0, 1):
             F = random_system(7919, n, [2] * (n + 2),
@@ -94,10 +112,11 @@ def fingerprint() -> dict:
 
 
 def _results_only(out: dict) -> dict:
-    """`out` with each trace entry cut to (degree, cols, rank)."""
+    """`out` with each trace entry cut to (degree, cols, rank); records
+    without a trace pass through."""
     return {
         key: ({**rec, "trace": [[t[0], t[2], t[3]] for t in rec["trace"]]}
-              if isinstance(rec, dict) else rec)
+              if isinstance(rec, dict) and "trace" in rec else rec)
         for key, rec in out.items()
     }
 
