@@ -112,8 +112,7 @@ def _echelon_inputs(F: PolySystem, d: int) -> list[tuple[int, np.ndarray,
         eng.add_rows(rows)
         # Degree-e monomials lead monomials_up_to(n, e).
         keys_e = monomial_keys_up_to(n, e)
-        for slot in range(eng.rank):
-            g = eng.pivot_row(slot)
+        for g in eng.reduced_rows(range(eng.rank)):
             cols = np.flatnonzero(g)
             out.append((e, keys_e[cols], g[cols]))
     return out
@@ -234,7 +233,7 @@ def _graded_rank(F: PolySystem, d: int) -> int:
     piv_of[pivots] = np.arange(npiv)
     free_of = np.full(ncols + 1, nfree, dtype=np.int64)
     free_of[np.flatnonzero(piv_of[:ncols] == npiv)] = np.arange(nfree)
-    eng = RowReducer(p, nfree, always_rref=False)
+    eng = RowReducer(p, nfree)
     # The products below have inner length up to npiv, not nfree.
     dtype = _kernel_dtype(p, npiv + 1)
 

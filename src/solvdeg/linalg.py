@@ -3,10 +3,14 @@
 The central object is ``RowReducer``, an incremental eliminator that never
 permutes rows: every incoming row is replaced by itself plus a combination
 of other rows, so a row's tag (multiplier, source polynomial) stays
-meaningful for the Macaulay solver.  In ``always_rref`` mode the stored
-pivot rows are kept in reduced row echelon form at all times and can be
-read back; in cascade mode (rank-only workloads) the pivot rows are kept
-as a chain of internally reduced blocks, which roughly halves the work.
+meaningful for the Macaulay solver.  Its pivot rows are kept in
+semi-echelon form, as a cascade of internally reduced blocks, one block
+per batch of rows: a stored row is clear of the pivot columns of its own
+block and of every earlier one, and never changes once stored.  Rank,
+pivot columns and normal forms need nothing more; the rows of the
+reduced row echelon form are read back on demand, for the chosen slots
+only (reduced_rows), by one pass over the later blocks (the
+back-substitution of Faugere and Lachartre, PASCO 2010).
 
 All arithmetic is exact.  For small p the working matrices are float32 or
 float64 and the block updates run through BLAS, valid because every
@@ -139,10 +143,9 @@ def _sub_matmul_mod(X: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None
 class RowReducer:
     """Incremental no-swap row reduction over GF(p)."""
 
-    def __init__(self, p: int, ncols: int, always_rref: bool = True):
+    def __init__(self, p: int, ncols: int):
         self.p = p
         self.ncols = ncols
-        self.always_rref = always_rref
         self.dtype = _kernel_dtype(p, ncols)
         # Deferral of mod inside a leaf accumulates up to _LEAF products.
         self._defer = (self.dtype.kind == "f"
@@ -153,6 +156,7 @@ class RowReducer:
         self._P = np.zeros((self._cap, ncols), dtype=self.dtype)
         self.pivot_cols: list[int] = []
         self._pc_arr = np.zeros(0, dtype=np.intp)
+        # Slot ranges [s, e) of the blocks, in order of creation.
         self._blocks: list[tuple[int, int]] = []
 
     @property
@@ -171,11 +175,53 @@ class RowReducer:
         self._P = P
         self._cap = cap
 
-    # -- reading back: residues leave in [0, p) ----------------------------
+    # -- reading back ----------------------------------------------------------
 
-    def pivot_row(self, slot: int) -> np.ndarray:
-        """Content of a pivot slot (fully reduced in always_rref mode)."""
-        return np.mod(self._P[slot], self.p)
+    def stored_row(self, slot: int) -> np.ndarray:
+        """The stored row of a pivot slot, as kept: a read-only view in the
+        kernel's dtype, symmetric residues on the float path.
+
+        It leads with 1 at its pivot column and is clear of the pivot
+        columns of its own block and of every earlier block, but may
+        still hold pivot columns of later blocks.  It never changes once
+        add_rows has returned.
+        """
+        row = self._P[slot]
+        row.flags.writeable = False
+        return row
+
+    def reduced_rows(self, slots, before_block=None) -> np.ndarray:
+        """The rows of the reduced row echelon form for the given slots,
+        one per slot in the order given, residues in [0, p).
+
+        A stored row is already clear of the pivot columns up to its own
+        block, so it is cascaded only against the blocks after its own,
+        in order: a later block's rows are clear of every earlier pivot
+        column, so clearing one block's columns puts back none that an
+        earlier block cleared.  The rows are taken in slot order, which
+        makes the rows below each block a prefix of them: one product per
+        block.  What is left is the unique row of the space that leads at
+        the slot's pivot column with 1 and is zero at every other pivot
+        column.  `before_block`, if given, is called before each block's
+        product (solve uses it to check its deadline).
+        """
+        slots = np.asarray(slots, dtype=np.intp)
+        order = np.argsort(slots, kind="stable")
+        ranked = slots[order]
+        X = self._P[ranked]
+        for s, e in self._blocks:
+            below = int(np.searchsorted(ranked, s))
+            if not below:
+                continue
+            if before_block is not None:
+                before_block()
+            head = X[:below]
+            coeffs = head[:, self._pc_arr[s:e]]
+            if np.any(coeffs):
+                _sub_matmul_mod(head, coeffs, self._P[s:e], self.p)
+        out = np.empty_like(X)
+        out[order] = np.mod(X, self.p)
+        return out
 
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
         """Normal form of one row against the current pivot rows."""
@@ -207,20 +253,9 @@ class RowReducer:
         before = self.rank
         self._cascade(B)
         slots = self._process_new(B)
-        after = self.rank
-        if after == before:
-            return slots
-        self._pc_arr = np.asarray(self.pivot_cols, dtype=np.intp)
-        new_cols = self._pc_arr[before:after]
-        if self.always_rref:
-            if before:
-                old = self._P[:before]
-                coeffs = old[:, new_cols]
-                if np.any(coeffs):
-                    _sub_matmul_mod(old, coeffs, self._P[before:after], self.p)
-            self._blocks = [(0, after)]
-        else:
-            self._blocks.append((before, after))
+        if self.rank > before:
+            self._pc_arr = np.asarray(self.pivot_cols, dtype=np.intp)
+            self._blocks.append((before, self.rank))
         return slots
 
     def _process_new(self, B: np.ndarray) -> list[int | None]:
@@ -302,6 +337,6 @@ def rank_mod_p(M: np.ndarray, p: int) -> int:
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    eng = RowReducer(p, M.shape[1], always_rref=False)
+    eng = RowReducer(p, M.shape[1])
     eng.add_rows(M)
     return eng.rank

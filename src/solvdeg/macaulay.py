@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class DegreeTrace:
     `rows` counts every row fed to the eliminator: the initial products
     u*f_j of degree <= `degree` plus the variable multiples fed by the
     closure.  `degree_falls` counts the pivot slots whose leading term
-    fell, below that of the row fed for them, to a degree below `degree`.
+    has a lower degree than that of the row fed for them.
     """
 
     degree: int
@@ -95,38 +96,56 @@ class SolveReport:
 
 
 def _ascending_keys(n: int, k: int) -> np.ndarray:
-    """Keys of the monomials of degree <= k in ascending degrevlex."""
-    return monomial_keys_up_to(n, k)[::-1]
+    """Keys of the monomials of degree k in ascending degrevlex."""
+    # monomials_up_to(n, k) starts with the degree-k ones, descending.
+    return monomial_keys_up_to(n, k)[comb(n + k - 1, k) - 1::-1]
 
 
 class _Elimination:
     """One degree of the algorithm: feed rows, close under variables.
 
-    The rows fed first are the products u*f_j of degree <= d.  The
-    closure then multiplies pivot rows of degree < d by each variable,
-    visiting every pivot slot once, in the first round after it appears.
-    A slot qualifies when its degree is below d and either its leading
-    term fell (its pivot column lies right of the leading column of the
-    row fed for it) or that fed row came from the closure itself.
-    Rounds repeat until a round adds no pivot.
+    The rows fed first are the products u*f_j of degree <= d, by
+    ascending degree.  The closure then multiplies pivot rows of degree
+    < d by each variable, visiting every pivot slot once, in the first
+    round after it appears, and multiplying its row as the RowReducer
+    stores it.  Rounds repeat until a round adds no pivot.  A slot of
+    degree < d closes (its row is multiplied) when the row fed for it
+    came from the closure, or is a product of degree d, which then fell.
+    Any other slot, open, was fed a product u*f_j of degree < d, and each
+    x_i*u*f_j is an initial row itself.
 
     The row space W at the fixpoint is the smallest space V that holds
     every u*f_j of degree <= d and x_i*v for every v in V of degree < d.
-    W is inside V, since every fed row is.  For the converse it suffices
-    that x_i*r lies in W for every final pivot row r of degree < d: an
-    element of W of degree < d is a combination of pivot rows led by
-    monomials of its support.  Induct over the pivots, smallest leading
-    monomial first.  Reduction only ever subtracts multiples of pivots
-    with smaller leads, so r = g - sum c_k r_k, where g is the row
-    multiplied by the closure (the slot's content when visited) or, for
-    a slot that did not qualify, the initial row u*f_j fed for it, and
-    each r_k is a final pivot row led by a monomial smaller than lead(r).
-    Each x_i*r_k lies in W by induction.  x_i*g was fed: by the closure
-    in the first case, and as the initial row (x_i*u)*f_j, of degree
-    deg(r) + 1 <= d, in the second (a slot that did not fall has
-    deg(g) = deg(r)).  So x_i*r lies in W.  Since the reduced row
-    echelon form of a space is unique, the pivots, the rank and the
-    extracted basis are those of V, whichever rows spanned it.
+    W is inside V, since every fed row is.  For the converse, call v
+    good if x_i*v lies in W for every i.  The good rows form a space,
+    which holds the stored row of a closing slot, since the closure
+    multiplied it, and every initial row of degree < d.  Two facts.
+
+    (1) The RowReducer never swaps rows.  The row g_s fed for slot s
+        fills it exactly when it is independent of the rows fed before
+        it, and then n_s = g_s - u_s, with u_s in their span, scaled to
+        lead with 1 and zero at every earlier pivot column.  Its stored
+        row r_s is n_s minus multiples of the stored rows of later slots
+        of the same flush, and never changes once stored.
+    (2) The stored rows are semi-echelon, and so are the stored rows of
+        earlier flushes together with the n_t of a flush: their leads
+        are distinct, with nothing left of them.  So a combination of
+        them leads where the largest lead it uses does, and uses no row
+        of higher degree.
+
+    By (2), the r_s of degree < d span the rows of W of degree < d, so
+    it suffices that each is good.  Induct over flushes: those of the
+    earlier flushes are good.  In a closure flush every new slot closes.
+    In an initial flush, rows come by ascending degree, so no open slot
+    follows a closing one.  Up the open slots: u_s has degree at most
+    deg(g_s) < d, so by (2) it combines stored rows of earlier flushes
+    and n_t of earlier slots of this flush, all of degree < d, so of
+    open slots: all good, and with g_s, n_s is good.  Down the open
+    slots: r_s - n_s combines stored rows of later slots of this flush,
+    of degree <= deg(r_s) < d, each closing or open and good, so r_s is
+    good.  Since the reduced row echelon form of a space is unique, the
+    pivots, the rank and the extracted basis are those of V, whichever
+    rows spanned it.
     """
 
     def __init__(self, polys: list[Polynomial], d: int, p: int,
@@ -138,10 +157,10 @@ class _Elimination:
         self.index = MonomialIndex(self.n, d)
         self.columns = monomials_up_to(self.n, d)
         self.keys = monomial_keys_up_to(self.n, d)
-        self.engine = RowReducer(p, self.index.size, always_rref=True)
-        # Per pivot slot: the leading column of the row fed for it, and
-        # whether that row was an initial u*f_j.
-        self.fed_for_slot: dict[int, tuple[int, bool]] = {}
+        self._degree = self.keys[:, -1].tolist()  # per column
+        self.engine = RowReducer(p, self.index.size)
+        # Per pivot slot, in order of appearance: whether it closes.
+        self.closes: list[bool] = []
         self.rows_fed = 0
         self.fall_events = 0
         self._block = np.zeros((BLOCK_ROWS, self.index.size),
@@ -149,11 +168,13 @@ class _Elimination:
         self._tags = np.zeros(BLOCK_ROWS, dtype=np.int64)
         self._initial = np.zeros(BLOCK_ROWS, dtype=bool)
         self._filled = 0
-        for f in polys:
-            keys, coeffs = term_arrays(f)
-            self._queue_products(keys, coeffs,
-                                 _ascending_keys(self.n, d - f.degree),
-                                 initial=True)
+        terms = [term_arrays(f) for f in polys]
+        for e in range(min(f.degree for f in polys), d + 1):
+            for f, (keys, coeffs) in zip(polys, terms):
+                if f.degree <= e:
+                    self._queue_products(
+                        keys, coeffs, _ascending_keys(self.n, e - f.degree),
+                        initial=True)
         self._flush()
         self._close()
 
@@ -182,6 +203,7 @@ class _Elimination:
                 self._flush()
 
     def _flush(self) -> None:
+        """Feed the queued rows and decide which new slots close."""
         if not self._filled:
             return
         _check_deadline(self.deadline)
@@ -190,32 +212,31 @@ class _Elimination:
         self._block[:filled] = 0
         self._filled = 0
         self.rows_fed += filled
+        deg, cols = self._degree, self.engine.pivot_cols
         for slot, tag, initial in zip(slots, self._tags[:filled].tolist(),
                                       self._initial[:filled].tolist()):
-            if slot is not None:
-                self.fed_for_slot[slot] = (tag, initial)
+            if slot is None:
+                continue
+            e, fed = deg[cols[slot]], deg[tag]
+            self.fall_events += e < fed
+            # New slots are numbered on from len(self.closes), in row order.
+            self.closes.append(e < self.d and (not initial or fed == self.d))
 
     # closure under variables ------------------------------------------------
 
     def _close(self) -> None:
-        engine, d = self.engine, self.d
-        variables = _ascending_keys(self.n, 1)[1:]
+        engine = self.engine
+        variables = _ascending_keys(self.n, 1)
         visited = 0  # slots are numbered in order of appearance
         while visited < engine.rank:
             _check_deadline(self.deadline)
             start, visited = visited, engine.rank
             for slot in range(start, visited):
-                c = engine.pivot_cols[slot]
-                if int(self.keys[c, -1]) >= d:
+                if not self.closes[slot]:
                     continue
-                tag, initial = self.fed_for_slot[slot]
-                if c > tag:
-                    self.fall_events += 1
-                elif initial:
-                    continue  # x_i * (its u*f_j) is an initial row
-                content = engine.pivot_row(slot)
-                nz = np.flatnonzero(content)
-                self._queue_products(self.keys[nz], content[nz], variables,
+                row = engine.stored_row(slot)
+                nz = np.flatnonzero(row)
+                self._queue_products(self.keys[nz], row[nz], variables,
                                      initial=False)
             self._flush()
 
@@ -231,18 +252,21 @@ def _vector_to_poly(content: np.ndarray, columns: tuple[Monomial, ...],
 def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomial]:
     """Pivot rows with minimal leading terms, by ascending leading term.
 
-    No inter-reduction pass: the rows are monic and, the row space being
-    closed, the RREF has already cleared every tail term that a kept
-    lead divides (fact (c) in `solve`'s docstring).  Columns run in
-    descending degrevlex, so descending column is ascending lead.
+    Only the kept rows are back-substituted, by the RowReducer's
+    read-back, which checks the deadline before each block.  They come
+    back as rows of the RREF: monic, and, the row space being closed,
+    clear of every tail term that a kept lead divides (fact (c) in
+    `solve`'s docstring), so no inter-reduction pass follows.  Columns
+    run in descending degrevlex, so descending column is ascending lead.
     """
     engine, columns = elim.engine, elim.columns
     kept: list[tuple[Monomial, int]] = []
     for slot, c in sorted(enumerate(engine.pivot_cols), key=lambda t: -t[1]):
         if not any(km.divides(columns[c]) for km, _ in kept):
             kept.append((columns[c], slot))
-    return [_vector_to_poly(engine.pivot_row(slot), columns, fld)
-            for _, slot in kept]
+    rows = engine.reduced_rows([slot for _, slot in kept],
+                               lambda: _check_deadline(elim.deadline))
+    return [_vector_to_poly(row, columns, fld) for row in rows]
 
 
 # -- public operations ---------------------------------------------------------
@@ -280,10 +304,12 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
         zero: G generates the ideal of F, and membership needs no check.
     (c) A tail term m of g in G has degree <= d.  If the lead of some h
         in G divided it, m = u*lead(h) would lead u*h in V_d, so m would
-        be a pivot column, which the RREF clears from every other pivot
-        row.  So G's tails are reduced, and with its monic rows and
-        minimal leads G is what reduce_basis would return, at any degree
-        and in apriori mode too.
+        be a pivot column.  The pivot rows are kept only semi-echelon,
+        but G is read back (RowReducer.reduced_rows) as rows of the RREF,
+        which are clear of every pivot column but their own.  So G's
+        tails are reduced, and with its monic rows and minimal leads G
+        is what reduce_basis would return, at any degree and in apriori
+        mode too.
     """
     if apriori_bound is not None and max_degree is not None:
         raise ValueError("give apriori_bound or max_degree, not both")
@@ -313,17 +339,17 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     for d in range(d0, end + 1):
         try:
             elim = _Elimination(polys, d, p, deadline)
+            trace.append(DegreeTrace(
+                degree=d, rows=elim.rows_fed, cols=elim.index.size,
+                rank=elim.engine.rank, degree_falls=elim.fall_events,
+            ))
+            if apriori_bound is not None and d < end:
+                continue
+            basis = _extract_reduced_basis(elim, fld)
         except SolveTimeout:
             raise SolveTimeout(
                 f"solve timed out at degree {d}", tuple(trace)
             ) from None
-        trace.append(DegreeTrace(
-            degree=d, rows=elim.rows_fed, cols=elim.index.size,
-            rank=elim.engine.rank, degree_falls=elim.fall_events,
-        ))
-        if apriori_bound is not None and d < end:
-            continue
-        basis = _extract_reduced_basis(elim, fld)
         if apriori_bound is not None:
             stop_reason = "apriori_bound"
         elif is_groebner_basis(basis, closed_degree=d):

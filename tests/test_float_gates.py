@@ -171,15 +171,13 @@ def test_row_reducer_matches_rref_oracle(p):
     def check(data, rows, cols, chunk):
         M = _residue_matrix(data.draw, p, rows, cols)
         want = oracle_rref_rows(M.tolist(), p)
-        eng = RowReducer(p, cols, always_rref=True)
-        rank_only = RowReducer(p, cols, always_rref=False)
+        eng = RowReducer(p, cols)
         for lo in range(0, rows, chunk):
             eng.add_rows(M[lo:lo + chunk])
-            rank_only.add_rows(M[lo:lo + chunk])
-        got = {tuple(int(v) for v in eng.pivot_row(s))
-               for s in range(eng.rank)}
+        got = {tuple(int(v) for v in r)
+               for r in eng.reduced_rows(range(eng.rank))}
         assert got == want
-        assert rank_only.rank == len(want)
+        assert eng.rank == len(want)
 
     check()
 
@@ -202,12 +200,12 @@ def test_row_reducer_across_the_float32_gate():
             M = (rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols))
                  % p)
             M[int(rng.integers(rows))] = p - 1
-            eng = RowReducer(p, cols, always_rref=True)
+            eng = RowReducer(p, cols)
             assert eng.dtype == dtype
             for lo in range(0, rows, chunk):
                 eng.add_rows(M[lo:lo + chunk])
-            got = {tuple(int(v) for v in eng.pivot_row(s))
-                   for s in range(eng.rank)}
+            got = {tuple(int(v) for v in r)
+                   for r in eng.reduced_rows(range(eng.rank))}
             assert got == oracle_rref_rows(M.tolist(), p)
 
     check()
@@ -217,8 +215,8 @@ def test_row_reducer_across_the_float32_gate():
                                       (7919, F64),
                                       (2**31 - 1, np.dtype(np.int64))])
 def test_read_back_is_canonical_in_every_tier(p, dtype):
-    # pivot_row and reduce_vector hand out residues in [0, p), whatever
-    # form the kernel keeps internally.
+    # reduced_rows and reduce_vector hand out residues in [0, p),
+    # whatever form the kernel keeps internally.
     @SETTINGS
     @given(st.data(), st.integers(1, 12), st.integers(1, 10))
     def check(data, rows, cols):
@@ -227,7 +225,7 @@ def test_read_back_is_canonical_in_every_tier(p, dtype):
         eng = RowReducer(p, cols)
         assert eng.dtype == dtype
         eng.add_rows(M)
-        pivots = [eng.pivot_row(s).tolist() for s in range(eng.rank)]
+        pivots = eng.reduced_rows(range(eng.rank)).tolist()
         assert {tuple(map(int, r)) for r in pivots} == oracle_rref_rows(
             M.tolist(), p)
         want = [x % p for x in v.tolist()]

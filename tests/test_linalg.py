@@ -17,6 +17,11 @@ def random_low_rank(rng, p, rows, cols):
     return np.array(((A @ B) % p).tolist(), dtype=np.int64)
 
 
+def reduced(eng):
+    """Every row of the reduced row echelon form, in slot order."""
+    return eng.reduced_rows(range(eng.rank))
+
+
 def feed(eng, rows, chunk):
     """add_rows in chunks of `chunk` rows; returns the slots of all rows."""
     slots = []
@@ -34,7 +39,7 @@ def test_rank_matches_oracle(p):
         M = random_low_rank(rng, p, rows, cols)
         expected = oracle_rank(M.tolist(), p)
         assert rank_mod_p(M, p) == expected
-        eng = RowReducer(p, cols, always_rref=True)
+        eng = RowReducer(p, cols)
         feed(eng, M, 16)
         assert eng.rank == expected
 
@@ -46,9 +51,9 @@ def test_rref_content_is_canonical(p):
         rows = int(rng.integers(1, 40))
         cols = int(rng.integers(1, 30))
         M = random_low_rank(rng, p, rows, cols)
-        eng = RowReducer(p, cols, always_rref=True)
+        eng = RowReducer(p, cols)
         feed(eng, M, 8)
-        got = {tuple(int(v) for v in eng.pivot_row(s)) for s in range(eng.rank)}
+        got = {tuple(int(v) for v in r) for r in reduced(eng)}
         assert got == oracle_rref_rows(M.tolist(), p)
 
 
@@ -56,9 +61,9 @@ def test_rref_structure_and_membership():
     p = 7
     rng = np.random.default_rng(42)
     M = rng.integers(0, p, (45, 25))
-    eng = RowReducer(p, 25, always_rref=True)
+    eng = RowReducer(p, 25)
     slots = feed(eng, M, 7)
-    P = np.array([eng.pivot_row(s) for s in range(eng.rank)])
+    P = reduced(eng)
     pc = eng.pivot_cols
     # pivot columns form an identity across pivot rows
     assert np.allclose(P[:, pc], np.eye(len(pc)))
@@ -83,13 +88,46 @@ def test_incremental_feeding_matches_bulk():
         feed(inc, M[i : i + 7], 5)
     assert inc.rank == bulk.rank
     assert sorted(inc.pivot_cols) == sorted(bulk.pivot_cols)
-    got_b = {tuple(int(v) for v in bulk.pivot_row(s)) for s in range(bulk.rank)}
-    got_i = {tuple(int(v) for v in inc.pivot_row(s)) for s in range(inc.rank)}
+    got_b = {tuple(int(v) for v in r) for r in reduced(bulk)}
+    got_i = {tuple(int(v) for v in r) for r in reduced(inc)}
     assert got_b == got_i
 
 
-@pytest.mark.parametrize("always_rref", [True, False])
-def test_pivot_store_grows_past_its_initial_size(always_rref):
+@pytest.mark.parametrize("p, dtype", [(7, np.float32), (7919, np.float64),
+                                      (2**31 - 1, np.int64)])
+def test_read_back_matches_rref_oracle(p, dtype):
+    # Fed a few rows at a time, the reducer keeps many blocks, and its
+    # stored rows are only semi-echelon: each leads with 1 at its pivot
+    # column and is clear of the other pivot columns of its own and
+    # earlier blocks.  The read-back of any chosen slots, in any order,
+    # gives those slots' rows of the oracle's RREF, with one call of the
+    # hook per block after the first chosen slot's block.
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(10):
+        rows = int(rng.integers(5, 45))
+        cols = int(rng.integers(5, 35))
+        M = random_low_rank(rng, p, rows, cols)
+        eng = RowReducer(p, cols)
+        assert eng.dtype == dtype
+        feed(eng, M, int(rng.integers(1, 6)))
+        pc = eng.pivot_cols
+        for s, e in eng._blocks:
+            for slot in range(s, e):
+                row = eng.stored_row(slot).astype(np.int64) % p
+                assert row[pc[slot]] == 1 and not np.any(row[: pc[slot]])
+                assert not np.any(np.delete(row[pc[:e]], slot))
+        want = {r.index(1): r for r in oracle_rref_rows(M.tolist(), p)}
+        chosen = rng.permutation(eng.rank)[: int(rng.integers(eng.rank + 1))]
+        calls = []
+        got = eng.reduced_rows(chosen, lambda: calls.append(None))
+        assert got.shape == (len(chosen), cols)
+        assert [tuple(int(v) for v in r) for r in got] == [
+            want[pc[slot]] for slot in chosen]
+        first = min(chosen, default=eng.rank)
+        assert len(calls) == sum(s > first for s, _ in eng._blocks)
+
+
+def test_pivot_store_grows_past_its_initial_size():
     # Above 8192 columns the pivot store starts at 1024 rows and doubles.
     p, ncols, rank = 7, 8200, 1100
     rng = np.random.default_rng(8200)
@@ -107,14 +145,15 @@ def test_pivot_store_grows_past_its_initial_size(always_rref):
             coeffs = rng.integers(0, p, k + 1, dtype=np.int32)
             rows.append(coeffs @ units[: k + 1] % p)
             unit_of.append(None)
-    eng = RowReducer(p, ncols, always_rref=always_rref)
+    eng = RowReducer(p, ncols)
     slots = eng.add_rows(np.array(rows))
     assert eng.rank == rank and eng._cap == 2048
     assert [s is None for s in slots] == [k is None for k in unit_of]
-    for slot, k in zip(slots, unit_of):
-        if k is not None:
-            assert eng.pivot_cols[slot] == lead[k]
-            assert np.array_equal(eng.pivot_row(slot), units[k])
+    filled = [(slot, k) for slot, k in zip(slots, unit_of) if k is not None]
+    got = eng.reduced_rows([slot for slot, _ in filled])
+    for (slot, k), row in zip(filled, got):
+        assert eng.pivot_cols[slot] == lead[k]
+        assert np.array_equal(row, units[k])
 
 
 def test_zero_and_duplicate_rows():
@@ -139,8 +178,7 @@ def test_determinism():
     b = RowReducer(p, 50)
     b.add_rows(M)
     assert a.pivot_cols == b.pivot_cols
-    for s in range(a.rank):
-        assert np.array_equal(a.pivot_row(s), b.pivot_row(s))
+    assert np.array_equal(reduced(a), reduced(b))
 
 
 def assert_mod_p_exact(vals, dtype, p):

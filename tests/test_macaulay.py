@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from solvdeg import (
     s_polynomial,
     solve,
 )
-from solvdeg.analyze import regularity_from_hilbert
+from solvdeg.analyze import regularity_from_hilbert, semiregular_test
 from solvdeg.linalg import RowReducer
 from solvdeg.macaulay import _Elimination, _extract_reduced_basis
 from solvdeg.poly import Monomial, monomials_up_to
@@ -54,8 +56,9 @@ def _no_swap_rref(rows, p):
     """Row k of rows after elimination without row swaps: the content of
     the pivot slot it filled, or None if it reduced to zero."""
     eng = RowReducer(p, rows.shape[1])
-    return [None if slot is None else eng.pivot_row(slot)
-            for slot in eng.add_rows(rows)]
+    slots = eng.add_rows(rows)
+    reduced = iter(eng.reduced_rows([s for s in slots if s is not None]))
+    return [None if slot is None else next(reduced) for slot in slots]
 
 
 def test_rref_identity_pattern_unchanged(ring_xy):
@@ -186,10 +189,10 @@ def _closure_violations(F, d):
     for k, row in enumerate(_product_rows(F, d)):
         if np.any(engine.reduce_vector(row)):
             bad.append(("initial", k))
-    for slot, c in enumerate(engine.pivot_cols):
+    reduced = engine.reduced_rows(range(engine.rank))
+    for slot, (c, row) in enumerate(zip(engine.pivot_cols, reduced)):
         if columns[c].degree >= d:
             continue
-        row = engine.pivot_row(slot)
         nz = np.flatnonzero(row)
         for x in variables:
             prod = np.zeros_like(row)
@@ -247,7 +250,39 @@ def test_triple_product_row_budget():
     # rather than closing under variables, feeds 112,442 rows here.
     (t,) = solve(triple_product_system()).trace
     assert (t.degree, t.cols, t.rank) == (18, 1330, 1320)
-    assert t.rows < 10_000
+    assert t.rows < 2_000
+
+
+def test_homogeneous_system_feeds_only_its_products():
+    # Reducing homogeneous rows keeps their degree: no slot falls, none
+    # closes, and only the products u*f_j are fed, m*C(n + d - 2, n) of
+    # them for m quadrics at degree d.
+    n, m = 6, 8
+    F = random_system(7919, n, [2] * m, seed=3, homogeneous=True)
+    assert semiregular_test(F)
+    rep = solve(F)
+    assert [t.degree for t in rep.trace] == [2, 3, 4]
+    for t in rep.trace:
+        assert t.degree_falls == 0
+        assert t.rows == m * comb(n + t.degree - 2, n)
+
+
+def test_deadline_holds_in_basis_extraction(monkeypatch):
+    # The clock runs out once the last flush has passed its check, so only
+    # the back-substitution of the kept rows is left.  It checks the
+    # deadline before each block; certification would not.
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    close = _Elimination._close
+
+    def close_then_expire(self):
+        close(self)
+        clock[0] = 1e9
+
+    monkeypatch.setattr(_Elimination, "_close", close_then_expire)
+    with pytest.raises(SolveTimeout, match="at degree 14") as exc:
+        solve(pair_product_system(), timeout=10)
+    assert [t.degree for t in exc.value.trace] == [14]
 
 
 def test_solve_determinism_byte_identical():
