@@ -127,8 +127,11 @@ def test_read_back_matches_rref_oracle(p, dtype):
         assert len(calls) == sum(s > first for s, _ in eng._blocks)
 
 
-def test_pivot_store_grows_past_its_initial_size():
+@pytest.mark.parametrize("two_calls", [True, False])
+def test_pivot_store_grows_past_its_initial_size(two_calls):
     # Above 8192 columns the pivot store starts at 1024 rows and doubles.
+    # Fed in two calls, the first fills most of the initial store, so the
+    # second call must grow it while keeping the rows already stored.
     p, ncols, rank = 7, 8200, 1100
     rng = np.random.default_rng(8200)
     lead = rng.permutation(ncols - 1)[:rank]
@@ -146,7 +149,13 @@ def test_pivot_store_grows_past_its_initial_size():
             rows.append(coeffs @ units[: k + 1] % p)
             unit_of.append(None)
     eng = RowReducer(p, ncols)
-    slots = eng.add_rows(np.array(rows))
+    rows = np.array(rows)
+    if two_calls:
+        slots = eng.add_rows(rows[:1000])
+        assert eng._cap == 1024
+        slots += eng.add_rows(rows[1000:])
+    else:
+        slots = eng.add_rows(rows)
     assert eng.rank == rank and eng._cap == 2048
     assert [s is None for s in slots] == [k is None for k in unit_of]
     filled = [(slot, k) for slot, k in zip(slots, unit_of) if k is not None]
