@@ -3,11 +3,10 @@ Artinian-ness, semi-regularity tests, the homogenization-variable
 nonzerodivisor test, and the largest Groebner basis degree.
 
 Hilbert function values come from ranks of per-degree coefficient blocks,
-not from Groebner bases; the Groebner route survives only as a test
-oracle.  Each rank is a Faugere-Lachartre split (_graded_rank): with the
-inputs echelonized, most columns have a row that leads there, known
-without elimination, and only the Schur complement on the other columns
-goes through dense elimination.
+not from Groebner bases.  Each rank is a Faugere-Lachartre split
+(_graded_rank): with the inputs echelonized, most columns have a row
+that leads there, known without elimination, and only the Schur
+complement on the other columns goes through dense elimination.
 
 One walk (_hilbert_walk) answers the Hilbert questions about a system:
 HF(F, 0), HF(F, 1), ... through the first zero, or through the Macaulay
@@ -16,10 +15,15 @@ regularity_from_hilbert and analyze_system's d_reg, witness and profile
 all read it; the semi-regularity tests compare the same values, degree
 by degree, with the series prediction and stop at the first mismatch.
 
+The nonzerodivisor test compares Hilbert functions too: those of F^h and
+of the homogenized basis of solve(F), the one solve that analyze_system
+shares with max_groebner_degree.  The Groebner route it replaces (solve
+F^h, strip powers of t, divide) survives only as a test oracle.
+
 analyze_system(timeout=) holds one deadline for the whole call: the
 Hilbert-function loops check it between degrees, with the same check
-(macaulay._check_deadline) that solve uses, and each solve gets the
-time left.
+(macaulay._check_deadline) that solve uses, and the solve gets the time
+left.
 """
 
 from __future__ import annotations
@@ -33,14 +37,11 @@ from math import comb
 import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound, semiregular_series
-from .groebner import normal_form
 from .linalg import BLOCK_ROWS, RowReducer, _kernel_dtype, _sub_matmul_mod
 from .macaulay import _check_deadline, solve
 from .poly import (
-    Monomial,
     MonomialIndex,
     PolySystem,
-    Polynomial,
     homogenize_system,
     monomial_keys_up_to,
     term_arrays,
@@ -406,36 +407,42 @@ def _semiregular_test(F: PolySystem, mode: str,
 # -- homogenization-variable tests ---------------------------------------------------
 
 
-def _strip_last_var_power(f: Polynomial) -> Polynomial:
-    """Divide by the largest power of the last variable dividing f."""
-    k = min(m.exps[-1] for m, _ in f.terms)
-    if k == 0:
-        return f
-    return Polynomial(
-        [(Monomial(m.exps[:-1] + (m.exps[-1] - k,)), c) for m, c in f.terms],
-        f.nvars, f.field,
-    )
-
-
 def t_nonzerodivisor(F: PolySystem, *, timeout: float | None = None) -> bool:
-    """Is the homogenization variable a nonzerodivisor mod (F^h)?
+    """Is the homogenization variable t a nonzerodivisor mod (F^h)?
 
-    Computes the reduced basis G of the homogenized ideal, strips each
-    element's largest power of the homogenization variable (that set
-    generates the saturation by it, in this order), and tests whether the
-    stripped elements still reduce to zero: saturation = ideal exactly
-    when nothing new appears.
+    One solve(F), then _t_nonzerodivisor on its basis; `timeout` bounds
+    both.
     """
     if F.is_homogeneous:
         raise HomogeneousInput("the test concerns inhomogeneous systems")
+    deadline = None if timeout is None else time.monotonic() + timeout
+    return _t_nonzerodivisor(F, solve(F, timeout=timeout).basis, deadline)
+
+
+def _t_nonzerodivisor(F: PolySystem, basis: tuple,
+                      deadline: float | None) -> bool:
+    """Is t a nonzerodivisor mod (F^h), given the reduced degrevlex basis
+    G = `basis` of I = (F)?
+
+    Let D be the largest degree in G.  t is a nonzerodivisor mod (F^h)
+    if and only if HF(F^h, d) = HF(G^h, d) for every d <= D.  The two
+    Hilbert functions are compared degree by degree, up to the first
+    difference, and the deadline is checked before each degree.
+
+    Proof.  (F^h) is contained in I^h = (F^h) : t^inf, and I^h is
+    generated by G^h (Cox, Little, O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 8 sec. 4), so in degrees <= D.  If the Hilbert
+    functions agree in every degree d <= D, the subspace (F^h)_d of I^h_d
+    has its dimension, so it is I^h_d; then (F^h) holds the generators
+    G^h, (F^h) = (F^h) : t^inf, and t is a nonzerodivisor.  If they
+    differ at some d, some f in I^h_d lies outside (F^h) while t^k*f lies
+    in (F^h) for some k, so t is a zero divisor.
+    """
     H = homogenize_system(F)
-    basis = list(solve(H, timeout=timeout).basis)
-    for g in basis:
-        stripped_back = _strip_last_var_power(g)
-        if stripped_back is not g:
-            if not normal_form(stripped_back, basis).is_zero():
-                return False
-    return True
+    GH = homogenize_system(PolySystem(F.ring, tuple(basis)))
+    degrees = range(max(g.degree for g in basis) + 1)
+    return all(a == b for a, b in zip(_hilbert_values(H, degrees, deadline),
+                                      _hilbert_values(GH, degrees, deadline)))
 
 
 def max_groebner_degree(F: PolySystem, *, timeout: float | None = None) -> int:
@@ -455,8 +462,12 @@ def analyze_system(F: PolySystem, *, include_groebner: bool = True,
     through the Macaulay bound if no degree fills up (empty for a system
     without nonzero polynomials).
 
+    One solve(F) gives max_groebner_degree and the basis that the
+    t_nonzerodivisor test compares with F.  It is skipped only for a
+    homogeneous system with include_groebner=False, which needs neither.
+
     `timeout` bounds the whole call: the Hilbert-function loops check
-    one deadline between degrees, and each solve gets the time left.
+    one deadline between degrees, and the solve gets the time left.
     Once it is reached, SolveTimeout is raised.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -467,10 +478,11 @@ def analyze_system(F: PolySystem, *, include_groebner: bool = True,
         F, "crypto" if homogeneous else "inhomogeneous", deadline)
     pardue = (_semiregular_test(F, "pardue_prefix", deadline)
               if homogeneous else None)
+    rep = (solve(F, timeout=_remaining(deadline))
+           if include_groebner or not homogeneous else None)
     t_nzd = (None if homogeneous
-             else t_nonzerodivisor(F, timeout=_remaining(deadline)))
-    maxgb = (max_groebner_degree(F, timeout=_remaining(deadline))
-             if include_groebner else None)
+             else _t_nonzerodivisor(F, rep.basis, deadline))
+    maxgb = rep.max_gb_degree if include_groebner else None
     return AnalysisReport(
         d_reg=math.inf if witness is None else witness,
         is_artinian=witness is not None,

@@ -420,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     common(a, "json", "timeout")
     a.add_argument("file")
     a.add_argument("--no-groebner", action="store_true",
-                   help="skip the Groebner-based quantities")
+                   help="skip max_groebner_degree (saves a solve on "
+                        "homogeneous input only)")
     a.set_defaults(fn=_cmd_analyze)
 
     t = sub.add_parser("table", help="regularity grid as TSV")

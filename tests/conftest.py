@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: ranks
 are computed by a pure-Python eliminator with row swaps, Hilbert function
-values by brute-force monomial containment, and series by naive
-convolution over Python ints.
+values by brute-force monomial containment, series by naive convolution
+over Python ints, and the homogenization-variable test by the solver's
+basis of F^h with powers of t stripped and divided, not by Hilbert
+functions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from solvdeg import PolySystem, PolynomialRing, PrimeField
+from solvdeg import PolySystem, PolynomialRing, PrimeField, solve
+from solvdeg.groebner import normal_form
+from solvdeg.poly import Monomial, Polynomial, homogenize_system
 from solvdeg.randsys import random_corpus
 
 
@@ -113,6 +117,29 @@ def oracle_standard_monomials(leads: list[tuple[int, ...]], n: int,
         if not any(all(l <= e for l, e in zip(lead, exps)) for lead in leads):
             count += 1
     return count
+
+
+def oracle_t_nonzerodivisor(F: PolySystem) -> bool:
+    """Is the homogenization variable t a nonzerodivisor mod (F^h)?  By
+    strip and divide, without Hilbert functions.
+
+    Solves F^h to its reduced degrevlex basis G, divides each element by
+    its largest power of t (the results generate (F^h) : t^inf, since t
+    is the last variable of a degrevlex order), and asks whether each
+    quotient still reduces to zero by G: the saturation equals (F^h)
+    exactly when nothing new appears.
+    """
+    basis = list(solve(homogenize_system(F)).basis)
+    for g in basis:
+        k = min(m.exps[-1] for m, _ in g.terms)
+        if k == 0:
+            continue
+        stripped = Polynomial(
+            [(Monomial(m.exps[:-1] + (m.exps[-1] - k,)), c)
+             for m, c in g.terms], g.nvars, g.field)
+        if not normal_form(stripped, basis).is_zero():
+            return False
+    return True
 
 
 # -- shared corpora --------------------------------------------------------------

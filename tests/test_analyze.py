@@ -33,8 +33,13 @@ from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
 from solvdeg.presets import gap_quartic_system
 from solvdeg.randsys import random_system
+from solvdeg.verify import oracle_corpus
 
-from conftest import oracle_rank, oracle_standard_monomials
+from conftest import (
+    oracle_rank,
+    oracle_standard_monomials,
+    oracle_t_nonzerodivisor,
+)
 
 # p = 2^31 - 1 fails the float64 gate: the int64 path.
 KERNEL_PRIMES = [2, 7, 7919, 2**31 - 1]
@@ -307,8 +312,24 @@ def test_t_nzd_true_implies_sd_at_most_dreg():
         polys = list(F.polys) + field_equations(F.ring)
         G = PolySystem(F.ring, tuple(polys))
         if not G.is_homogeneous:
-            t_nonzerodivisor(G)  # must not raise either way
+            assert t_nonzerodivisor(G) == oracle_t_nonzerodivisor(G)
     assert checked == 2
+
+
+def test_t_nonzerodivisor_matches_strip_and_divide_oracle():
+    # The Hilbert-function test against the strip-and-divide route it
+    # replaced: the inhomogeneous oracle-corpus systems, the gap preset
+    # and two GF(7919) quadric systems, with both outcomes present.
+    systems = [F for F in oracle_corpus() if not F.is_homogeneous]
+    systems.append(gap_quartic_system())
+    systems += [random_system(7919, n, [2] * (n + 1), seed=1)
+                for n in (4, 5)]
+    outcomes = set()
+    for i, F in enumerate(systems):
+        got = t_nonzerodivisor(F)
+        assert got == oracle_t_nonzerodivisor(F), i
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_maxgb_values(ring_xy):
@@ -390,7 +411,7 @@ def test_analyze_timeout_bounds_all_work():
         analyze_system(gap_quartic_system(), timeout=0)
 
 
-@pytest.mark.parametrize("run", [solve, analyze_system])
+@pytest.mark.parametrize("run", [solve, analyze_system, t_nonzerodivisor])
 def test_timeout_zero_expires_on_a_frozen_clock(monkeypatch, run):
     # A deadline that has been reached counts as expired, even when the
     # clock has not moved since it was set.

@@ -7,14 +7,13 @@ degree and the reduced basis; and the Hilbert profiles of the six
 `semireg-sweep` systems, of the top systems of the corpus (p in {2, 7,
 101, 2^31-1}, degrees 2 and 3 mixed) and of the three presets' top
 systems; and the analysis report `analyze_system(F,
-include_groebner=False)` of the gap preset and of the corpus (not of
-pair and triple, where that call takes 24 s and 469 s).  It prints two
-SHA-256 digests: `full` of the JSON as written, and `results` of the
-same JSON without the per-degree `rows` and `degree_falls` columns,
-which count the solver's work rather than its answers.  A refactor
-that must not change results gives the same `full` digest on both
-checkouts; one that changes how many rows the solver feeds, on purpose,
-must still give the same `results` digest:
+include_groebner=False)` of the three presets and of the corpus.  It
+prints two SHA-256 digests: `full` of the JSON as written, and `results`
+of the same JSON without the per-degree `rows` and `degree_falls`
+columns, which count the solver's work rather than its answers.  A
+refactor that must not change results gives the same `full` digest on
+both checkouts; one that changes how many rows the solver feeds, on
+purpose, must still give the same `results` digest:
 
     PYTHONPATH=<old checkout>/src python tools/output_fingerprint.py old.json
     PYTHONPATH=src python tools/output_fingerprint.py new.json
@@ -97,7 +96,7 @@ def fingerprint() -> dict:
                      ("triple", triple_product_system())]:
         out[label] = _solve_record(F)
         out[f"hilbert_{label}"] = _top_profile(F)
-    out["analysis_gap"] = _analysis_record(gap_quartic_system())
+        out[f"analysis_{label}"] = _analysis_record(F)
     for i, F in enumerate(_small_solve_corpus()):
         out[f"small{i}"] = _solve_record(F)
         out[f"hilbert_small{i}"] = _top_profile(F)
