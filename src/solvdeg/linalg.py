@@ -190,6 +190,13 @@ class RowReducer:
         row.flags.writeable = False
         return row
 
+    def stored_rows(self) -> np.ndarray:
+        """The stored rows of every slot, in slot order: a read-only view,
+        each row as stored_row gives it."""
+        rows = self._P[: self.rank]
+        rows.flags.writeable = False
+        return rows
+
     def reduced_rows(self, slots, before_block=None) -> np.ndarray:
         """The rows of the reduced row echelon form for the given slots,
         one per slot in the order given, residues in [0, p).

@@ -1,6 +1,7 @@
 """Hilbert functions, regularity diagnostics, semi-regularity tests."""
 
 import math
+from math import comb
 import time
 
 import numpy as np
@@ -27,7 +28,13 @@ from solvdeg import (
     t_nonzerodivisor,
     top_system,
 )
-from solvdeg.analyze import _echelon_inputs, _graded_rank
+from solvdeg import analyze
+from solvdeg.analyze import (
+    _back_substitute,
+    _echelon_inputs,
+    _graded_rank,
+    _rank_pass,
+)
 from solvdeg.linalg import rank_mod_p
 from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
@@ -132,11 +139,30 @@ def _echelon_leads(F, d):
     return leads
 
 
+@pytest.fixture
+def extra_row_decisions(monkeypatch):
+    """The answers of the extra-row rule, in order, from cold rank caches."""
+    decisions = []
+    rule = analyze._extra_rows_pay
+
+    def spy(*counts):
+        decisions.append(rule(*counts))
+        return decisions[-1]
+
+    monkeypatch.setattr(analyze, "_extra_rows_pay", spy)
+    _graded_rank.cache_clear()
+    _rank_pass.cache_clear()
+    return decisions
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_graded_rank_mixed_degrees_with_colliding_leads(p):
+def test_graded_rank_mixed_degrees_with_colliding_leads(p,
+                                                        extra_row_decisions):
     # Degrees 2, 3 and 4 in 4 variables: a multiple of a degree-2 lead is
     # also a multiple of a degree-3 or degree-4 lead, so the known pivot
-    # rows must pick one row per lead column across the degree groups.
+    # rows must pick one row per lead column across the degree groups,
+    # and the extra rows from the degree below only where no product of
+    # any degree group leads.
     F = random_system(p, 4, [2, 3, 4, 3, 2], seed=61 + p % 97,
                       homogeneous=True)
     leads = _echelon_leads(F, 4)
@@ -144,6 +170,7 @@ def test_graded_rank_mixed_degrees_with_colliding_leads(p):
                for l2 in leads[2] for e in (3, 4) for lh in leads[e])
     for d in range(9):
         assert _graded_rank(F, d) == _block_rank(F, d), d
+    assert True in extra_row_decisions
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -163,12 +190,24 @@ def test_graded_rank_redundant_and_degenerate_inputs(p):
     assert _graded_rank(PolySystem(F.ring, (F.ring.zero(),)), 3) == 0
 
 
-@pytest.mark.parametrize("n, p", [(6, 2), (7, 7), (8, 7919), (6, 2**31 - 1)])
-def test_graded_rank_schur_complement_full_and_deficient(n, p):
-    # Random quadrics, m = n + 2: below the degree of regularity the Schur
-    # complement is rank deficient, at and above it the rank fills every
-    # column, including the columns no known pivot covers.
-    F = random_system(p, n, [2] * (n + 2), seed=80 + n, homogeneous=True)
+@pytest.mark.parametrize("n, m, p, sides", [
+    pytest.param(6, 8, 2, {True}, id="6-2"),
+    pytest.param(7, 9, 7, {True}, id="7-7"),
+    pytest.param(8, 10, 7919, {True}, id="8-7919"),
+    pytest.param(6, 8, 2**31 - 1, {True}, id="6-2147483647"),
+    pytest.param(6, 4, 7, {True}, id="6-4-7"),
+    pytest.param(7, 2, 2**31 - 1, {False, True}, id="7-2-2147483647"),
+])
+def test_graded_rank_schur_complement_full_and_deficient(n, m, p, sides,
+                                                         extra_row_decisions):
+    # Random quadrics.  With m = n + 2, below the degree of regularity the
+    # Schur complement is rank deficient, at and above it the rank fills
+    # every column, including the columns no known pivot covers.  With
+    # m < n it stays deficient.  `sides` are the answers the extra-row
+    # rule gives on the way: two quadrics in 7 variables take no extra
+    # rows at d = 4 and 5, where the Schur rows are few (7 and 28) and
+    # the extra rows wide, and take them at d = 6.
+    F = random_system(p, n, [2] * m, seed=80 + n, homogeneous=True)
     seen = set()
     for d in range(2, 7):
         ncols = len(monomials_of_degree(n, d))
@@ -179,7 +218,27 @@ def test_graded_rank_schur_complement_full_and_deficient(n, p):
         seen.add(rank == ncols)
         if rank == ncols and len(seen) == 2:
             break
-    assert seen == {False, True}
+    assert seen == ({False, True} if m > n else {False})
+    assert set(extra_row_decisions) == sides
+    # One call for one degree, from cold caches, computes the degrees
+    # below it in a loop: past the first full degree the rank is the
+    # column count, and below it the block's rank.
+    _graded_rank.cache_clear()
+    _rank_pass.cache_clear()
+    if m > n:
+        assert _graded_rank(F, 40) == comb(n + 39, 40)
+    else:
+        assert _graded_rank(F, 6) == _block_rank(F, 6)
+
+
+def test_back_substitute_rejects_backward_dependency():
+    # Row 1 depending on row 0 would make the depth count circular.
+    X = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="at or above"):
+        _back_substitute(X, np.array([0, 1]), np.array([2, 0]),
+                         np.array([1.0, 1.0]), 7)
+    _back_substitute(X, np.array([0, 1]), np.array([2, 2]),
+                     np.array([1.0, 1.0]), 7)
 
 
 def test_degree_of_regularity_gap():
