@@ -3,14 +3,13 @@ Artinian-ness, semi-regularity tests, the homogenization-variable
 nonzerodivisor test, and the largest Groebner basis degree.
 
 Hilbert function values come from ranks of per-degree coefficient blocks,
-not from Groebner bases.  Each rank is a Faugere-Lachartre split
-(_graded_rank): with the inputs echelonized, most columns have a row
-that leads there, known without elimination, and only the Schur
-complement on the other columns goes through dense elimination.  The
-degrees of one system are done from the lowest up, and the pivot rows
-that the Schur complement of one degree finds, times a variable, are
-known pivots of the next: what is left to eliminate at degree d is
-about the monomials outside x*LM(I_{d-1}).
+not from Groebner bases, all computed by one pass per system (_RankPass).
+Each rank is a Faugere-Lachartre split: the products of the generators
+of lower degree lead at known columns, and only the Schur complement on
+the other columns, where the inputs of the degree enter, goes through
+dense elimination.  The pivot rows that one degree's Schur complement
+finds, times a variable, are known pivots of the next: what is left to
+eliminate at degree d is about the monomials outside x*LM(I_{d-1}).
 
 One walk (_hilbert_walk) answers the Hilbert questions about a system:
 HF(F, 0), HF(F, 1), ... through the first zero, or through the Macaulay
@@ -89,38 +88,6 @@ class AnalysisReport:
 def _require_homogeneous(F: PolySystem) -> None:
     if not F.is_homogeneous:
         raise NotHomogeneous("system must be homogeneous")
-
-
-def _echelon_inputs(F: PolySystem, d: int) -> list[tuple[int, np.ndarray,
-                                                           np.ndarray]]:
-    """The inputs of each degree e <= d in reduced row echelon form.
-
-    Returns one (e, term keys, coefficients) per nonzero RREF row g over
-    the degree-e monomials, terms in descending degrevlex.  Within a
-    degree the rows lead with distinct monomials, and each is monic.
-    """
-    n = F.ring.n
-    p = F.ring.modulus.p
-    one = monomial_keys_up_to(n, 0)
-    out = []
-    for e in sorted(set(F.degrees)):
-        if e > d:
-            break
-        group = [f for f in F.polys if not f.is_zero() and f.degree == e]
-        width = comb(n + e - 1, e)
-        eng = RowReducer(p, width)
-        rows = np.zeros((len(group), width), dtype=eng.dtype)
-        index = MonomialIndex(n, e)
-        for row, f in zip(rows, group):
-            keys, coeffs = term_arrays(f)
-            row[index.product_positions(keys, one)[0]] = coeffs
-        eng.add_rows(rows)
-        # Degree-e monomials lead monomials_up_to(n, e).
-        keys_e = monomial_keys_up_to(n, e)
-        for g in eng.reduced_rows(range(eng.rank)):
-            cols = np.flatnonzero(g)
-            out.append((e, keys_e[cols], g[cols]))
-    return out
 
 
 def _back_substitute(X: np.ndarray, rows: np.ndarray, deps: np.ndarray,
@@ -263,10 +230,91 @@ def _found_rows(eng: RowReducer, free: np.ndarray,
 
 
 class _RankPass:
-    """The ranks of one system's degree blocks, computed from the lowest
-    degree up, each degree keeping what it found for the next one."""
+    """The ranks of one system's degree blocks I_d, the span of the rows
+    u*f_j with deg(u*f_j) = d, from the lowest degree up: a call computes
+    every lower degree the pass has not seen, each keeping what it found
+    for the next.  The pass stops at the first full degree e: I_{e+1}
+    contains R_1 I_e, so from there on the rank is the column count.
+
+    Each degree is a Faugere-Lachartre split (Faugere and Lachartre,
+    PASCO 2010) whose known pivots grow with the degree, in the spirit of
+    the degree-incremental matrix F5 of Bardet, Faugere and Salvy (JSC
+    2015):
+
+    1. The products are the rows u*g of the generators g of degree < d
+       (self.gens), which step 5 keeps.
+    2. The lead of u*g is u*LM(g), known without elimination.  One
+       product per distinct lead column is a known pivot row.
+    3. Take more known pivot rows from degree d - 1 (_extra_rows): the
+       Schur pivot rows s it found, and its own extra rows, times a
+       variable.  Each degree-d monomial that no product leads, but some
+       x_i*LM(s) equals, gets one row x_i*s, when the counts say these
+       rows pay (_extra_rows_pay).
+    4. Back-substitute the known pivot rows, over their terms, to [I | X]
+       on (pivot columns | the other columns).
+    5. Write each degree-d input and each other product as (C | D) on the
+       same split; its Schur row is D - C*X on the other columns.  A
+       rank-only RowReducer takes the Schur rows in source order, the
+       inputs' first in add_rows calls of their own, until its rank
+       fills the other columns.  The rows it stores are the next degree's
+       s; those of the inputs' calls are the generators of degree d.
+    6. The rank is |pivots| + rank(Schur rows).
+
+    Why this is the rank.  (a) A RowReducer never swaps rows: a stored
+    row is its fed row minus multiples of earlier stored rows and of the
+    later rows of its own add_rows call, and a row that leaves no pivot
+    is a combination of the stored rows before it.  The RowReducer is
+    new at each degree and the inputs' calls hold no product, so the
+    stored rows they fill and the inputs' Schur rows span the same space.
+    (Fed in one call with products, the inputs could leave rows that do
+    not span them.)  An input f has Schur row f - C*[I | X], where the
+    known rows are products of generators of degree < d and extra rows
+    x_i*s with s, a combination of Schur rows of degree d - 1, in
+    I_{d-1}; by induction on d both lie in the ideal of the generators
+    of degree < d.  So the generators of degree <= d generate the ideal
+    of the inputs of degree <= d, and the products, the extra rows and
+    the degree-d inputs span I_d, no more.  (b) Multiplying by a monomial
+    keeps the degrevlex order of the terms.  A stored row is zero before
+    its pivot column, where it holds 1 mod p (a symmetric residue, such
+    as -1 for p = 2), and an extra row inherits this, so u*g leads at
+    u*LM(g) and x_i*s at x_i*LM(s), with 1 mod p.  The known pivot rows,
+    sorted by lead, form a matrix [T | N] with T unit upper triangular
+    mod p.  Row operations within these rows turn it into [I | X],
+    X = T^-1 N, without changing their span.  Subtracting C*[I | X] from
+    another row (C | D) leaves (0 | D - C*X), again a row operation.  So
+    I_d is spanned by [I | X] and the rows (0 | S), the first set is
+    independent on the pivot columns where the second vanishes, and
+    rank = |pivots| + rank(S).  Once the Schur rows fed reach rank = the
+    number of other columns, no other row can raise it, and the rest are
+    skipped, inputs too: the generators then span their Schur rows.
+
+    What the extra rows cover.  The known and Schur pivot rows of degree
+    d - 1 form an echelon basis of I_{d-1}, so their leads are LM(I_{d-1}).
+    A variable times a product's lead is a product's lead, so with the
+    extra rows every monomial of x*LM(I_{d-1}) gets a known pivot, and
+    the Schur complement keeps only the monomials outside x*LM(I_{d-1}).
+    For 12 random quadrics in 10 variables over GF(7919) (seed 1), at
+    d = 6: 3,787 product leads and 1,196 extra rows leave 22 of 5,005
+    columns, and the first 512 Schur rows fill them; from the products
+    alone, 1,218 columns take three blocks of 512.
+
+    Exactness.  The input coefficients are residues in [0, p), the stored
+    rows of a RowReducer, and so the generators, symmetric residues,
+    |r| <= p - 1, and every product goes through linalg._sub_matmul_mod,
+    whose results are symmetric residues too (linalg.mod_p); the gates
+    cover both forms.  X - A*B with inner length k runs in a float dtype
+    with M = 2^24 or 2^53 only when _float_ok(p, k + 1, dtype), i.e.
+    (p-1)^2 (k+3) < M, so every partial sum and the result, of magnitude
+    at most (p-1)^2 (k+1), are exact integers; otherwise it runs in int64
+    chunks that stay below 2^62.  The inner lengths are at most
+    BLOCK_ROWS in the back-substitution and |pivots| for the Schur rows,
+    so X, C and S take the narrowest dtype whose gate admits
+    |pivots| + 1: 4,983 at n = 10, d = 6 above, while p = 7919 allows
+    about 1.4e8 in float64.  The RowReducer keeps its own gates.
+    """
 
     def __init__(self, F: PolySystem):
+        _require_homogeneous(F)
         self.F = F
         self.n = F.ring.n
         self.p = F.ring.modulus.p
@@ -282,8 +330,6 @@ class _RankPass:
             if e and self.ranks[-1] == comb(n + e - 2, e - 1):
                 # I_e contains R_1 I_{e-1}: every later degree is full.
                 return comb(n + d - 1, d)
-            if e in self.F.degrees:
-                self.gens = _echelon_inputs(self.F, e)
             self.ranks.append(self._degree_rank(e))
         return self.ranks[d]
 
@@ -328,29 +374,34 @@ class _RankPass:
         n = self.n
         p = self.p
         found, self.found = self.found, None
-        if not self.gens:
+        inputs = [(d, *term_arrays(f)) for f in self.F.polys
+                  if not f.is_zero() and f.degree == d]
+        if not inputs and not self.gens:
             return 0
+        nin = len(inputs)
         ncols = comb(n + d - 1, d)
-        # Degree-d monomials lead monomials_up_to(n, d), so the products'
+        # Degree-d monomials lead monomials_up_to(n, d), so the rows'
         # positions in it are their columns in this block.  Rows are padded
         # to a common width with column ncols and coefficient 0.
         index = MonomialIndex(n, d)
-        width = max(len(coeffs) for _, _, coeffs in self.gens)
+        sources = inputs + self.gens
+        width = max(len(coeffs) for _, _, coeffs in sources)
         cols_parts, coeff_parts = [], []
-        for e, keys, coeffs in self.gens:
+        for e, keys, coeffs in sources:
             k = d - e
             # The degree-k monomials, descending: the head of monomials_up_to.
             mult_keys = monomial_keys_up_to(n, k)[:comb(n + k - 1, k)]
             cols = np.full((len(mult_keys), width), ncols, dtype=np.int64)
             cols[:, :len(keys)] = index.product_positions(keys, mult_keys)
-            padded = np.zeros(width, dtype=coeffs.dtype)
+            padded = np.zeros(width, dtype=np.int64)
             padded[:len(coeffs)] = coeffs
             cols_parts.append(cols)
             coeff_parts.append(np.broadcast_to(padded, cols.shape))
         cols = np.concatenate(cols_parts)
         coeffs = np.concatenate(coeff_parts)
-        # Each row's first column is its lead; one row per lead is a pivot.
-        pivots, known = np.unique(cols[:, 0], return_index=True)
+        # A product's first column is its lead; one per lead is a pivot.
+        pivots, known = np.unique(cols[nin:, 0], return_index=True)
+        known += nin
         extra = None
         if found is not None and len(pivots) < ncols:
             extra = self._extra_rows(found, d, index, pivots, (
@@ -374,10 +425,10 @@ class _RankPass:
         X = _known_block(cols[known], coeffs[known], extra, piv_of, free_of,
                          dtype, p)
 
-        # Schur rows D - C*X of the other rows, in source order.  C and S
-        # keep one spare column, as X does, and are allocated once, so
-        # the peak memory of a rank does not depend on how many blocks the
-        # rank needs or on what the allocator kept from before.
+        # Schur rows D - C*X of the other rows, in source order (step 5).
+        # C and S keep one spare column, as X does, and are allocated once,
+        # so the peak memory of a rank does not depend on how many blocks
+        # the rank needs or on what the allocator kept from before.
         others = np.ones(len(cols), dtype=bool)
         others[known] = False
         others = np.flatnonzero(others)
@@ -385,8 +436,11 @@ class _RankPass:
         C_block = np.empty((min(BLOCK_ROWS, len(others)), npiv + 1),
                            dtype=dtype)
         S_block = np.empty((len(C_block), nfree + 1), dtype=dtype)
-        for lo in range(0, len(others), BLOCK_ROWS):
-            chunk = others[lo:lo + BLOCK_ROWS]
+        chunks = [part[lo:lo + BLOCK_ROWS]
+                  for part in (others[:nin], others[nin:])
+                  for lo in range(0, len(part), BLOCK_ROWS)]
+        ngens = 0
+        for chunk in chunks:
             ccols, ccoeffs = cols[chunk], coeffs[chunk]
             at = np.arange(len(chunk))[:, None]
             C, S = C_block[:len(chunk)], S_block[:len(chunk)]
@@ -396,8 +450,15 @@ class _RankPass:
             S[at, free_of[ccols]] = ccoeffs
             _sub_matmul_mod(S[:, :nfree], C[:, :npiv], X, p)
             eng.add_rows(S[:, :nfree])
+            if chunk[0] < nin:
+                ngens = eng.rank
             if eng.rank == nfree:
                 break
+        if ngens:
+            keys = monomial_keys_up_to(n, d)
+            for row in eng.stored_rows()[:ngens]:
+                at = np.flatnonzero(row)
+                self.gens.append((d, keys[free[at]], row[at].astype(np.int64)))
         if eng.rank < nfree:
             self.found = _found_rows(eng, free, extra)
         return npiv + eng.rank
@@ -409,95 +470,13 @@ def _rank_pass(F: PolySystem) -> _RankPass:
     return _RankPass(F)
 
 
-@lru_cache(maxsize=4096)
-def _graded_rank(F: PolySystem, d: int) -> int:
-    """Rank of the degree-d block I_d: rows u*f_j with deg(u*f_j) = d.
-
-    The ranks of one system come from one pass (_rank_pass), which
-    computes the degrees from the lowest up, in a loop: a call computes
-    every lower degree the pass has not seen.  It stops at the first
-    degree e whose block is full: I_{e+1} contains R_1 I_e, so from there
-    on the rank is the column count, with no row built.
-
-    Each degree is a Faugere-Lachartre split (Faugere and Lachartre,
-    PASCO 2010) whose known pivots grow with the degree, in the spirit of
-    the degree-incremental matrix F5 of Bardet, Faugere and Salvy (JSC
-    2015):
-
-    1. Put the inputs of each degree in reduced row echelon form
-       (_echelon_inputs) and take the rows u*g of those RREF rows g.
-    2. The lead of u*g is u*LM(g), known without elimination.  One row
-       per distinct lead column is a known pivot row.
-    3. Take more known pivot rows from degree d - 1 (_extra_rows): the
-       Schur pivot rows s it found, and its own extra rows, times a
-       variable.  Each degree-d monomial that no product leads, but some
-       x_i*LM(s) equals, gets one row x_i*s, when the counts say these
-       rows pay (_extra_rows_pay).
-    4. Back-substitute the known pivot rows, over their terms, to [I | X]
-       on (pivot columns | the other columns).
-    5. Write each other row u*g as (C | D) on the same split; its Schur
-       row is D - C*X on the other columns.  A rank-only RowReducer takes
-       the Schur rows, in source order, until its rank fills the other
-       columns; its stored rows are the next degree's s.
-    6. The rank is |pivots| + rank(Schur rows).
-
-    Why this is the rank.  (a) Each degree group's RREF rows span the
-    same space as that group's inputs, and u*(sum c_i f_i) = sum c_i
-    u*f_i, so the rows u*g span the same I_d as the rows u*f_j.  A Schur
-    row at degree d - 1 is a row of I_{d-1} minus a combination of known
-    pivot rows of I_{d-1}, and a stored row s of the RowReducer a
-    combination of Schur rows, so s is in I_{d-1}; so is an extra row of
-    degree d - 1, by the same argument one degree down.  So every x_i*s
-    is in I_d, and every u*g is still fed: the rows span I_d, no more.
-    (b) Multiplying by a monomial keeps the degrevlex order of the
-    terms.  u*g leads at u*LM(g) with coefficient 1 (g is monic).  A
-    stored row s is zero before its pivot column, where it holds 1 mod
-    p, and an extra row inherits this, so x_i*s leads at x_i*LM(s), again
-    with 1 mod p.  The known pivot rows, sorted by lead, form a matrix
-    [T | N] with T unit upper triangular mod p.  Row operations within
-    these rows turn it into [I | X], X = T^-1 N, without changing their
-    span.  Subtracting C*[I | X] from another row (C | D) leaves
-    (0 | D - C*X), again a row operation.  So I_d is spanned by [I | X]
-    and the rows (0 | S), the first set is independent on the pivot
-    columns where the second vanishes, and rank = |pivots| + rank(S).
-    Once the Schur rows fed reach rank = the number of other columns, no
-    other row can raise it, and the rest are skipped.
-
-    What the extra rows cover.  The known and Schur pivot rows of degree
-    d - 1 form an echelon basis of I_{d-1}, so their leads are LM(I_{d-1}).
-    A variable times a product's lead is a product's lead, so with the
-    extra rows every monomial of x*LM(I_{d-1}) gets a known pivot, and
-    the Schur complement keeps only the monomials outside x*LM(I_{d-1})
-    and outside the leads of the degree-d inputs.  For 12 random
-    quadrics in 10 variables over GF(7919) (seed 1), at d = 6: 3,787
-    product leads and 1,196 extra rows leave 22 of 5,005 columns, and the
-    first 512 Schur rows fill them; from the products alone, 1,218
-    columns take three blocks of 512.
-
-    Exactness.  The input coefficients are residues in [0, p), the stored
-    rows of a RowReducer symmetric residues, |r| <= p - 1, and every
-    product goes through linalg._sub_matmul_mod, whose results are
-    symmetric residues too (linalg.mod_p); the gates cover both forms.
-    X - A*B with inner length k runs in a float dtype with M = 2^24 or
-    2^53 only when _float_ok(p, k + 1, dtype), i.e. (p-1)^2 (k+3) < M, so
-    every partial sum and the result, of magnitude at most (p-1)^2 (k+1),
-    are exact integers; otherwise it runs in int64 chunks that stay below
-    2^62.  The inner lengths are at most BLOCK_ROWS in the
-    back-substitution and |pivots| for the Schur rows, so X, C and S take
-    the narrowest dtype whose gate admits |pivots| + 1: 4,983 at n = 10,
-    d = 6 above, while p = 7919 allows about 1.4e8 in float64.  The
-    RowReducer keeps its own gates.
-    """
-    return _rank_pass(F).rank(d)
-
-
 def hilbert_function(F: PolySystem, d: int) -> int:
-    """dim (R/I)_d for a homogeneous system, by rank computation."""
-    _require_homogeneous(F)
+    """dim (R/I)_d for a homogeneous system, by rank computation: the
+    rank of I_d from F's _RankPass."""
+    rank_pass = _rank_pass(F)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    n = F.ring.n
-    return comb(n + d - 1, d) - _graded_rank(F, d)
+    return comb(F.ring.n + d - 1, d) - rank_pass.rank(d)
 
 
 def hilbert_function_profile(F: PolySystem, dmax: int) -> tuple[int, ...]:
@@ -525,7 +504,10 @@ def _hilbert_walk(F: PolySystem,
 
     If no degree fills up, the walk ends at the Macaulay bound (3 * the
     largest degree when there are fewer equations than variables), and
-    it always includes degree 0, where a nonzero constant fills up.
+    it always includes degree 0, where a nonzero constant fills up.  A
+    walk that ends at the bound drops the rows its rank pass keeps for
+    the next degree: a later call for a higher degree of F computes one
+    degree without extra rows, which gives the same rank.
     """
     _require_homogeneous(F)
     try:
@@ -536,7 +518,9 @@ def _hilbert_walk(F: PolySystem,
     for hf in _hilbert_values(F, range(max(cap, 0) + 1), deadline):
         values.append(hf)
         if hf == 0:
-            break
+            return tuple(values)
+    # No degree of the walk needs what its last degree found.
+    _rank_pass(F).found = None
     return tuple(values)
 
 
@@ -612,8 +596,9 @@ def _semiregular_test(F: PolySystem, mode: str,
     if mode == "pardue_prefix":
         _require_homogeneous(F)
         polys = F.nonzero()
+        # Longest first: F itself, whose rank pass is likely still cached.
         return all(_crypto_test(PolySystem(F.ring, polys[:ell]), deadline)
-                   for ell in range(1, len(polys) + 1))
+                   for ell in range(len(polys), 0, -1))
     if mode == "inhomogeneous":
         return _crypto_test(homogenize_system(F), deadline)
     raise ValueError(f"unknown mode {mode!r}")

@@ -46,14 +46,6 @@ class TruncatedSeries:
         if len(self.coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
 
-    @property
-    def cap(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, d: int) -> int:
-        """Coefficient of z^d, treating indices beyond the cap as 0."""
-        return self.coeffs[d] if d <= self.cap else 0
-
 
 def truncate_positive(h: TruncatedSeries) -> TruncatedSeries:
     """Cut after the last coefficient of the initial positive run.

@@ -29,12 +29,7 @@ from solvdeg import (
     top_system,
 )
 from solvdeg import analyze
-from solvdeg.analyze import (
-    _back_substitute,
-    _echelon_inputs,
-    _graded_rank,
-    _rank_pass,
-)
+from solvdeg.analyze import _back_substitute, _rank_pass
 from solvdeg.linalg import rank_mod_p
 from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
@@ -44,6 +39,7 @@ from solvdeg.verify import oracle_corpus
 
 from conftest import (
     oracle_rank,
+    oracle_rref_rows,
     oracle_standard_monomials,
     oracle_t_nonzerodivisor,
 )
@@ -131,11 +127,18 @@ def _block_rank(F, d):
 
 
 def _echelon_leads(F, d):
-    """Leading exponents of the echelonized inputs, per input degree."""
+    """Leading exponents of the inputs' RREF rows, per input degree <= d."""
     leads = {}
-    for e, keys, _ in _echelon_inputs(F, d):
-        lead = np.diff(keys[0], prepend=0)  # keys are prefix sums
-        leads.setdefault(e, []).append(tuple(int(x) for x in lead))
+    for e in sorted(set(F.degrees)):
+        if e > d:
+            break
+        group = PolySystem(F.ring, tuple(f for f in F.nonzero()
+                                         if f.degree == e))
+        monos = monomials_of_degree(F.ring.n, e)  # descending: lead first
+        for row in oracle_rref_rows(_explicit_block(group, e),
+                                    F.ring.modulus.p):
+            lead = next(i for i, c in enumerate(row) if c)
+            leads.setdefault(e, []).append(monos[lead].exps)
     return leads
 
 
@@ -150,7 +153,6 @@ def extra_row_decisions(monkeypatch):
         return decisions[-1]
 
     monkeypatch.setattr(analyze, "_extra_rows_pay", spy)
-    _graded_rank.cache_clear()
     _rank_pass.cache_clear()
     return decisions
 
@@ -169,8 +171,23 @@ def test_graded_rank_mixed_degrees_with_colliding_leads(p,
     assert any(all(a <= b for a, b in zip(l2, lh))
                for l2 in leads[2] for e in (3, 4) for lh in leads[e])
     for d in range(9):
-        assert _graded_rank(F, d) == _block_rank(F, d), d
+        assert _rank_pass(F).rank(d) == _block_rank(F, d), d
     assert True in extra_row_decisions
+    # x0*x2^2 = x0*(x0*x1 + x2^2) - x1*x0^2 is the Schur row of a product
+    # at degree 3, and the cubic's Schur row is x0*x2^2 + x3^3.  Fed in
+    # one add_rows call with that product, the cubic would leave the
+    # stored row x0*x2^2, a generator that loses x3^3.
+    G = PolySystem(F.ring, (F.ring.poly({(2, 0, 0, 0): 1}),
+                            F.ring.poly({(1, 1, 0, 0): 1, (0, 0, 2, 0): 1}),
+                            F.ring.poly({(1, 0, 2, 0): 1, (0, 0, 0, 3): 1})))
+    # A degree computed without the rows found below it, as after a
+    # capped walk, has the same rank: the generators alone must span the
+    # inputs.
+    for H in (F, G):
+        _rank_pass.cache_clear()
+        for d in range(9):
+            _rank_pass(H).found = None
+            assert _rank_pass(H).rank(d) == _block_rank(H, d), (H, d)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -184,10 +201,10 @@ def test_graded_rank_redundant_and_degenerate_inputs(p):
                             f1 * 2 if p > 2 else f1, high))
     for d in range(8):
         expect = _block_rank(G, d)
-        assert _graded_rank(G, d) == expect, d
+        assert _rank_pass(G).rank(d) == expect, d
         if d < 6:
             assert expect == _block_rank(F, d)
-    assert _graded_rank(PolySystem(F.ring, (F.ring.zero(),)), 3) == 0
+    assert _rank_pass(PolySystem(F.ring, (F.ring.zero(),))).rank(3) == 0
 
 
 @pytest.mark.parametrize("n, m, p, sides", [
@@ -212,7 +229,7 @@ def test_graded_rank_schur_complement_full_and_deficient(n, m, p, sides,
     for d in range(2, 7):
         ncols = len(monomials_of_degree(n, d))
         free = oracle_standard_monomials(_echelon_leads(F, d)[2], n, d)
-        rank = _graded_rank(F, d)
+        rank = _rank_pass(F).rank(d)
         assert rank == _block_rank(F, d), d
         assert free > 0
         seen.add(rank == ncols)
@@ -223,12 +240,31 @@ def test_graded_rank_schur_complement_full_and_deficient(n, m, p, sides,
     # One call for one degree, from cold caches, computes the degrees
     # below it in a loop: past the first full degree the rank is the
     # column count, and below it the block's rank.
-    _graded_rank.cache_clear()
     _rank_pass.cache_clear()
     if m > n:
-        assert _graded_rank(F, 40) == comb(n + 39, 40)
+        assert _rank_pass(F).rank(40) == comb(n + 39, 40)
     else:
-        assert _graded_rank(F, 6) == _block_rank(F, 6)
+        assert _rank_pass(F).rank(6) == _block_rank(F, 6)
+
+
+def test_analyze_computes_each_degree_of_each_system_once(monkeypatch):
+    # The walk and the crypto test share F's rank pass, and the prefix
+    # test checks F itself first, while that pass is cached: ascending
+    # prefixes would evict it from _rank_pass's four entries before
+    # reaching F, and compute its degrees again.
+    calls = []
+    degree_rank = analyze._RankPass._degree_rank
+
+    def spy(self, d):
+        calls.append((self.F, d))
+        return degree_rank(self, d)
+
+    monkeypatch.setattr(analyze._RankPass, "_degree_rank", spy)
+    _rank_pass.cache_clear()
+    F = random_system(7919, 6, [2] * 8, seed=1, homogeneous=True)
+    rep = analyze_system(F, include_groebner=False)
+    assert rep.pardue_prefix_semiregular is not None
+    assert len(calls) == len(set(calls)) == 43
 
 
 def test_back_substitute_rejects_backward_dependency():

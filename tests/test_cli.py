@@ -1,5 +1,6 @@
 """The command-line interface: parsing, rendering, subcommands, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -170,13 +171,17 @@ def test_bound_semiregular_without_variables_exit_2(args, capsys):
     assert "need at least one variable" in err
 
 
-def test_solve_file(tmp_path, capsys):
+def test_solve_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "gap.sys"
     path.write_text(GAP_TEXT)
     code, out, _ = run_cli(["solve", str(path)], capsys)
     assert code == 0
     assert "solving degree: 5" in out
     assert "y + 6" in out and "x^4 + 6" in out
+    # "-" reads the system from standard input.
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(GAP_TEXT.encode())))
+    assert run_cli(["solve", "-"], capsys) == (0, out, "")
 
 
 def test_solve_json_deterministic(tmp_path, capsys):
@@ -198,6 +203,14 @@ def test_solve_cap_exit_1(tmp_path, capsys):
     path.write_text(GAP_TEXT)
     code, _, err = run_cli(["solve", str(path), "--max-degree", "4"], capsys)
     assert code == 1
+    # A reached deadline exits 1 as well; with --json the error is a
+    # document on standard error.
+    code, out, err = run_cli(
+        ["solve", str(path), "--timeout-secs", "0", "--json"], capsys)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["exit_code"] == 1 and "timed out" in doc["error"]
+    assert doc["tool"] == "solvdeg" and "version" in doc
 
 
 @pytest.mark.parametrize("flag", ["--max-degree", "--apriori"])
