@@ -4,9 +4,10 @@ nonzerodivisor test, and the largest Groebner basis degree.
 
 Hilbert function values come from ranks of per-degree coefficient blocks,
 not from Groebner bases, all computed by one pass per system (_RankPass).
-Each rank is a Faugere-Lachartre split: the products of the generators
-of lower degree lead at known columns, and only the Schur complement on
-the other columns, where the inputs of the degree enter, goes through
+Each rank is a Faugere-Lachartre split (linalg.KnownPivotSplit, the
+solver's elimination too): the products of the generators of lower
+degree lead at known columns, and only the Schur complement on the
+other columns, where the inputs of the degree enter, goes through
 dense elimination.  The pivot rows that one degree's Schur complement
 finds, times a variable, are known pivots of the next: what is left to
 eliminate at degree d is about the monomials outside x*LM(I_{d-1}).
@@ -24,7 +25,8 @@ shares with max_groebner_degree.  The Groebner route it replaces (solve
 F^h, strip powers of t, divide) survives only as a test oracle.
 
 analyze_system(timeout=) holds one deadline for the whole call: the
-Hilbert-function loops check it between degrees, with the same check
+Hilbert-function loops check it between degrees and the rank pass
+before each block of Schur rows, with the same check
 (macaulay._check_deadline) that solve uses, and the solve gets the time
 left.
 """
@@ -40,7 +42,7 @@ from math import comb
 import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound, semiregular_series
-from .linalg import BLOCK_ROWS, RowReducer, _kernel_dtype, _sub_matmul_mod
+from .linalg import KnownPivotSplit, RowReducer, _ranges, product_rows
 from .macaulay import _check_deadline, solve
 from .poly import (
     MonomialIndex,
@@ -50,10 +52,6 @@ from .poly import (
     term_arrays,
     top_system,
 )
-
-
-# Rows per product in the back-substitution of the known pivot rows.
-_RUN = 32
 
 
 class NotHomogeneous(ValueError):
@@ -90,101 +88,6 @@ def _require_homogeneous(F: PolySystem) -> None:
         raise NotHomogeneous("system must be homogeneous")
 
 
-def _back_substitute(X: np.ndarray, rows: np.ndarray, deps: np.ndarray,
-                     coeffs: np.ndarray, p: int) -> None:
-    """In place: X[i] := X[i] - sum_j coeffs[j] X[deps[j]] (mod p) over
-    the entries j with rows[j] = i, each X[deps[j]] taken after its own
-    update.
-
-    Every entry must point below its row, deps[j] > rows[j], and no row
-    may hold one dependency twice; an entry at or above its row would
-    make the update circular, so it raises ValueError.  Rows go by depth:
-    a row without entries has depth 1, any other row one more than its
-    deepest entry, so a depth needs only the depths before it.  A depth
-    is done in runs of _RUN rows, one product per run over just the rows
-    the run uses (rows close in order share most of them), split into
-    products over BLOCK_ROWS of those rows at a time, so that the rows
-    of X gathered for one product stay few even when the run's rows
-    have many terms.
-    """
-    if np.any(deps <= rows):
-        raise ValueError("a back-substitution entry points at or above "
-                         "its own row")
-    if not len(rows):
-        return
-    order = np.argsort(rows, kind="stable")
-    rows, deps, coeffs = rows[order], deps[order], coeffs[order]
-    heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    owners = rows[heads]
-    depth = np.ones(len(X), dtype=np.int64)
-    # Depths only grow, and every entry points below its row, so this
-    # settles within as many rounds as the longest chain of entries.
-    while True:
-        new = np.maximum.reduceat(depth[deps], heads) + 1
-        if np.array_equal(new, depth[owners]):
-            break
-        depth[owners] = new
-    # Entries grouped by the depth of their row, in row order within one.
-    order = np.argsort(depth[rows], kind="stable")
-    rows, deps, coeffs = rows[order], deps[order], coeffs[order]
-    level_of = depth[rows]
-    for level in range(2, int(depth.max()) + 1):
-        level_rows = np.flatnonzero(depth == level)
-        lo, hi = np.searchsorted(level_of, (level, level + 1))
-        r_lv, d_lv, c_lv = rows[lo:hi], deps[lo:hi], coeffs[lo:hi]
-        cuts = np.append(np.searchsorted(r_lv, level_rows[::_RUN]), hi - lo)
-        for run, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            run_rows = level_rows[run * _RUN:(run + 1) * _RUN]
-            used = np.unique(d_lv[a:b])
-            C = np.zeros((len(run_rows), len(used)), dtype=X.dtype)
-            C[np.searchsorted(run_rows, r_lv[a:b]),
-              np.searchsorted(used, d_lv[a:b])] = c_lv[a:b]
-            Y = X[run_rows]
-            for lo_u in range(0, len(used), BLOCK_ROWS):
-                part = slice(lo_u, lo_u + BLOCK_ROWS)
-                _sub_matmul_mod(Y, C[:, part], X[used[part]], p)
-            X[run_rows] = Y
-
-
-def _known_block(kcols: np.ndarray, kcoeffs: np.ndarray, extra: tuple | None,
-                 piv_of: np.ndarray, free_of: np.ndarray, dtype,
-                 p: int) -> np.ndarray:
-    """X of [I | X], the known pivot rows reduced on the pivot columns.
-
-    The rows are the products (kcols, kcoeffs), padded with column ncols
-    and coefficient 0 and led by their first column, and the extra rows
-    in the CSR form of _found_rows.  piv_of and free_of map a block
-    column to its index among the pivot and the other columns, or one
-    past the end.  X keeps one spare column, which takes the writes of
-    the padding and of the pivot columns, and is returned as a view
-    without it, not copied out; the terms, flattened here, are freed on
-    return.
-    """
-    npiv, nfree = int(piv_of[-1]), int(free_of[-1])
-    leads = np.repeat(kcols[:, 0], kcols.shape[1])
-    cols, coeffs = kcols.ravel(), kcoeffs.ravel()
-    if extra is not None:
-        xleads, xptr, xcols, xvals = extra
-        leads = np.concatenate([leads, np.repeat(xleads, np.diff(xptr))])
-        cols = np.concatenate([cols, xcols])
-        coeffs = np.concatenate([coeffs, xvals])
-    rows = piv_of[leads]
-    coeffs = coeffs.astype(dtype)
-    X = np.zeros((npiv, nfree + 1), dtype=dtype)
-    X[rows, free_of[cols]] = coeffs
-    deps = piv_of[cols]
-    inner = (deps < npiv) & (deps != rows)  # neither padding nor lead
-    _back_substitute(X[:, :nfree], rows[inner], deps[inner], coeffs[inner], p)
-    return X[:, :nfree]
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices start, start + 1, ..., start + length - 1 of each
-    (start, length), concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-
-
 def _extra_rows_pay(nrows: int, ncols: int, nfree: int, nnz: int,
                     extra: int, extra_nnz: int) -> bool:
     """Do `extra` more known pivot rows, with `extra_nnz` terms in all,
@@ -218,14 +121,11 @@ def _found_rows(eng: RowReducer, free: np.ndarray,
     """
     rows = eng.stored_rows()
     at, col = np.nonzero(rows)
-    leads, cols = free[eng.pivot_cols], free[col]
-    widths = np.bincount(at, minlength=eng.rank)
-    coeffs = rows[at, col].astype(np.int64)
+    parts = [(free[eng.pivot_cols], np.bincount(at, minlength=eng.rank),
+              free[col], rows[at, col].astype(np.int64))]
     if extra is not None:
-        leads = np.concatenate([leads, extra[0]])
-        widths = np.concatenate([widths, np.diff(extra[1])])
-        cols = np.concatenate([cols, extra[2]])
-        coeffs = np.concatenate([coeffs, extra[3]])
+        parts.append((extra[0], np.diff(extra[1]), extra[2], extra[3]))
+    leads, widths, cols, coeffs = map(np.concatenate, zip(*parts))
     return leads, np.concatenate([[0], np.cumsum(widths)]), cols, coeffs
 
 
@@ -237,9 +137,10 @@ class _RankPass:
     contains R_1 I_e, so from there on the rank is the column count.
 
     Each degree is a Faugere-Lachartre split (Faugere and Lachartre,
-    PASCO 2010) whose known pivots grow with the degree, in the spirit of
-    the degree-incremental matrix F5 of Bardet, Faugere and Salvy (JSC
-    2015):
+    PASCO 2010; linalg.KnownPivotSplit, which does steps 2, 4 and 5, and
+    which the solver shares) whose known pivots grow with the degree, in
+    the spirit of the degree-incremental matrix F5 of Bardet, Faugere and
+    Salvy (JSC 2015):
 
     1. The products are the rows u*g of the generators g of degree < d
        (self.gens), which step 5 keeps.
@@ -306,11 +207,10 @@ class _RankPass:
     with M = 2^24 or 2^53 only when _float_ok(p, k + 1, dtype), i.e.
     (p-1)^2 (k+3) < M, so every partial sum and the result, of magnitude
     at most (p-1)^2 (k+1), are exact integers; otherwise it runs in int64
-    chunks that stay below 2^62.  The inner lengths are at most
-    BLOCK_ROWS in the back-substitution and |pivots| for the Schur rows,
-    so X, C and S take the narrowest dtype whose gate admits
-    |pivots| + 1: 4,983 at n = 10, d = 6 above, while p = 7919 allows
-    about 1.4e8 in float64.  The RowReducer keeps its own gates.
+    chunks that stay below 2^62.  The split gives X, C and S
+    _kernel_dtype(p, |pivots| + 1): |pivots| is 4,983 at n = 10, d = 6
+    above, while p = 7919 allows about 1.4e8 in float64.  The RowReducer
+    keeps its own gates.
     """
 
     def __init__(self, F: PolySystem):
@@ -322,29 +222,33 @@ class _RankPass:
         self.gens: list = []
         self.found: tuple | None = None
 
-    def rank(self, d: int) -> int:
-        """The rank at degree d, after every degree below it."""
-        n = self.n
+    def rank(self, d: int, deadline: float | None = None) -> int:
+        """The rank at degree d, after every degree below it, checking the
+        deadline before each degree and each block of Schur rows.  A
+        degree that the deadline interrupts records nothing."""
         while len(self.ranks) <= d:
             e = len(self.ranks)
-            if e and self.ranks[-1] == comb(n + e - 2, e - 1):
+            if e and self.ranks[-1] == comb(self.n + e - 2, e - 1):
                 # I_e contains R_1 I_{e-1}: every later degree is full.
-                return comb(n + d - 1, d)
-            self.ranks.append(self._degree_rank(e))
+                return comb(self.n + d - 1, d)
+            _check_deadline(deadline)
+            self.ranks.append(self._degree_rank(e, deadline))
         return self.ranks[d]
 
-    def _extra_rows(self, found: tuple, d: int, index: MonomialIndex,
-                    pivots: np.ndarray, counts: tuple) -> tuple | None:
+    def _extra_rows(self, d: int, index: MonomialIndex, cols: np.ndarray,
+                    pivots: np.ndarray, known: np.ndarray) -> tuple | None:
         """The extra known pivot rows x_i*s of degree d, in the CSR form
         of _found_rows, or None if there are none or they do not pay.
 
-        s runs over the rows `found` at degree d - 1.  Each degree-d
-        monomial outside `pivots` that some x_i*LM(s) equals gets one
-        row, from the s with the fewest terms.  `counts` are the first
-        four arguments of _extra_rows_pay.
+        s runs over the rows self.found at degree d - 1.  Each degree-d
+        monomial outside `pivots`, the leads of the known product rows
+        `known` of the padded product rows `cols`, that some x_i*LM(s)
+        equals gets one row, from the s with the fewest terms.
         """
-        n = self.n
-        leads, offsets, cols, vals = found
+        n, ncols = self.n, comb(self.n + d - 1, d)
+        if self.found is None or len(pivots) == ncols:
+            return None
+        leads, offsets, found_cols, vals = self.found
         if not len(leads):
             return None
         widths = np.diff(offsets)
@@ -362,106 +266,58 @@ class _RankPass:
         first = np.diff(lead, prepend=-1) != 0
         var, row = np.divmod(k[first], len(leads))
         lead, w = lead[first], widths[row]
-        if not len(lead) or not _extra_rows_pay(*counts, len(lead),
-                                                int(w.sum())):
+        if not len(lead) or not _extra_rows_pay(
+                len(cols) - len(known), ncols, ncols - len(pivots),
+                int(np.count_nonzero(cols[known] < ncols)), len(lead),
+                int(w.sum())):
             return None
         terms = _ranges(offsets[row], w)
         return (lead, np.concatenate([[0], np.cumsum(w)]),
-                times[np.repeat(var, w), cols[terms]], vals[terms])
+                times[np.repeat(var, w), found_cols[terms]], vals[terms])
 
-    def _degree_rank(self, d: int) -> int:
-        """The rank at degree d, given what degree d - 1 found."""
+    def _degree_rank(self, d: int, deadline: float | None) -> int:
+        """The rank at degree d, given what degree d - 1 found; self.gens
+        and self.found change only once the degree is done."""
         n = self.n
-        p = self.p
-        found, self.found = self.found, None
         inputs = [(d, *term_arrays(f)) for f in self.F.polys
                   if not f.is_zero() and f.degree == d]
         if not inputs and not self.gens:
+            self.found = None
             return 0
         nin = len(inputs)
         ncols = comb(n + d - 1, d)
         # Degree-d monomials lead monomials_up_to(n, d), so the rows'
-        # positions in it are their columns in this block.  Rows are padded
-        # to a common width with column ncols and coefficient 0.
+        # positions in it are their columns in this block.
         index = MonomialIndex(n, d)
-        sources = inputs + self.gens
-        width = max(len(coeffs) for _, _, coeffs in sources)
-        cols_parts, coeff_parts = [], []
-        for e, keys, coeffs in sources:
-            k = d - e
-            # The degree-k monomials, descending: the head of monomials_up_to.
-            mult_keys = monomial_keys_up_to(n, k)[:comb(n + k - 1, k)]
-            cols = np.full((len(mult_keys), width), ncols, dtype=np.int64)
-            cols[:, :len(keys)] = index.product_positions(keys, mult_keys)
-            padded = np.zeros(width, dtype=np.int64)
-            padded[:len(coeffs)] = coeffs
-            cols_parts.append(cols)
-            coeff_parts.append(np.broadcast_to(padded, cols.shape))
-        cols = np.concatenate(cols_parts)
-        coeffs = np.concatenate(coeff_parts)
-        # A product's first column is its lead; one per lead is a pivot.
-        pivots, known = np.unique(cols[nin:, 0], return_index=True)
-        known += nin
-        extra = None
-        if found is not None and len(pivots) < ncols:
-            extra = self._extra_rows(found, d, index, pivots, (
-                len(cols) - len(known), ncols, ncols - len(pivots),
-                int(np.count_nonzero(cols[known] < ncols))))
-        if extra is not None:
-            pivots = np.sort(np.concatenate([pivots, extra[0]]))
-        npiv = len(pivots)
-        nfree = ncols - npiv
-        if nfree == 0:
-            return npiv
-        # Column -> index among the pivot (resp. other) columns; the padding
-        # column and the other kind map one past the end.
-        piv_of = np.full(ncols + 1, npiv, dtype=np.int64)
-        piv_of[pivots] = np.arange(npiv)
-        free = np.flatnonzero(piv_of[:ncols] == npiv)
-        free_of = np.full(ncols + 1, nfree, dtype=np.int64)
-        free_of[free] = np.arange(nfree)
-        # The products below have inner length up to npiv, not nfree.
-        dtype = _kernel_dtype(p, npiv + 1)
-        X = _known_block(cols[known], coeffs[known], extra, piv_of, free_of,
-                         dtype, p)
-
-        # Schur rows D - C*X of the other rows, in source order (step 5).
-        # C and S keep one spare column, as X does, and are allocated once,
-        # so the peak memory of a rank does not depend on how many blocks
-        # the rank needs or on what the allocator kept from before.
-        others = np.ones(len(cols), dtype=bool)
-        others[known] = False
-        others = np.flatnonzero(others)
-        eng = RowReducer(p, nfree)
-        C_block = np.empty((min(BLOCK_ROWS, len(others)), npiv + 1),
-                           dtype=dtype)
-        S_block = np.empty((len(C_block), nfree + 1), dtype=dtype)
-        chunks = [part[lo:lo + BLOCK_ROWS]
-                  for part in (others[:nin], others[nin:])
-                  for lo in range(0, len(part), BLOCK_ROWS)]
-        ngens = 0
-        for chunk in chunks:
-            ccols, ccoeffs = cols[chunk], coeffs[chunk]
-            at = np.arange(len(chunk))[:, None]
-            C, S = C_block[:len(chunk)], S_block[:len(chunk)]
-            C.fill(0)
-            C[at, piv_of[ccols]] = ccoeffs
-            S.fill(0)
-            S[at, free_of[ccols]] = ccoeffs
-            _sub_matmul_mod(S[:, :nfree], C[:, :npiv], X, p)
-            eng.add_rows(S[:, :nfree])
-            if chunk[0] < nin:
-                ngens = eng.rank
-            if eng.rank == nfree:
-                break
+        # The multipliers of degree k = d - e, descending: the head of
+        # monomials_up_to(n, k).
+        cols, coeffs = product_rows(
+            [(index.product_positions(keys, monomial_keys_up_to(n, d - e)[
+                :comb(n + d - e - 1, d - e)]), coeffs)
+             for e, keys, coeffs in inputs + self.gens], ncols)
+        # The inputs are not monic, so only products are known (step 2).
+        split = KnownPivotSplit(
+            self.p, ncols, cols, coeffs, nin,
+            lambda pivots, known: self._extra_rows(d, index, cols, pivots,
+                                                   known),
+            lambda: _check_deadline(deadline))
+        # Step 5: the inputs are the first nin rows, none of them known.
+        # With no free column, both feeds return at once.
+        split.feed(cols, coeffs, split.others[:nin])
+        eng = split.reducer
+        ngens = eng.rank
+        split.feed(cols, coeffs, split.others[nin:])
+        # Only an input degree has generators; the keys of every degree-d
+        # monomial cost the monomials themselves (poly.monomials_up_to).
         if ngens:
             keys = monomial_keys_up_to(n, d)
             for row in eng.stored_rows()[:ngens]:
                 at = np.flatnonzero(row)
-                self.gens.append((d, keys[free[at]], row[at].astype(np.int64)))
-        if eng.rank < nfree:
-            self.found = _found_rows(eng, free, extra)
-        return npiv + eng.rank
+                self.gens.append((d, keys[split.free[at]],
+                                  row[at].astype(np.int64)))
+        self.found = (_found_rows(eng, split.free, split.extra)
+                      if eng.rank < split.nfree else None)
+        return split.npiv + eng.rank
 
 
 @lru_cache(maxsize=4)
@@ -470,13 +326,16 @@ def _rank_pass(F: PolySystem) -> _RankPass:
     return _RankPass(F)
 
 
-def hilbert_function(F: PolySystem, d: int) -> int:
+def hilbert_function(F: PolySystem, d: int, *,
+                     deadline: float | None = None) -> int:
     """dim (R/I)_d for a homogeneous system, by rank computation: the
-    rank of I_d from F's _RankPass."""
+    rank of I_d from F's _RankPass.  With `deadline`, a time.monotonic()
+    value, SolveTimeout is raised once it is reached, before any degree
+    or block of the rank pass."""
     rank_pass = _rank_pass(F)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return comb(F.ring.n + d - 1, d) - rank_pass.rank(d)
+    return comb(F.ring.n + d - 1, d) - rank_pass.rank(d, deadline)
 
 
 def hilbert_function_profile(F: PolySystem, dmax: int) -> tuple[int, ...]:
@@ -492,10 +351,10 @@ def _remaining(deadline: float | None) -> float | None:
 
 def _hilbert_values(F: PolySystem, degrees, deadline: float | None):
     """hilbert_function(F, d) for d in degrees, checking the deadline
-    before each degree."""
+    before each degree, and inside the rank pass."""
     for d in degrees:
         _check_deadline(deadline)
-        yield hilbert_function(F, d)
+        yield hilbert_function(F, d, deadline=deadline)
 
 
 def _hilbert_walk(F: PolySystem,
@@ -667,7 +526,8 @@ def analyze_system(F: PolySystem, *, include_groebner: bool = True,
     homogeneous system with include_groebner=False, which needs neither.
 
     `timeout` bounds the whole call: the Hilbert-function loops check
-    one deadline between degrees, and the solve gets the time left.
+    one deadline between degrees and blocks, and the solve gets the time
+    left.
     Once it is reached, SolveTimeout is raised.
     """
     deadline = None if timeout is None else time.monotonic() + timeout

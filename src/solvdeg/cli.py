@@ -299,14 +299,8 @@ def _read_input(path: str) -> bytes:
 def _cmd_solve(args) -> int:
     data = _read_input(args.file)
     F = parse_system(data.decode())
-    kw = {}
-    if args.max_degree is not None:
-        kw["max_degree"] = args.max_degree
-    if args.apriori is not None:
-        kw["apriori_bound"] = args.apriori
-    if args.timeout_secs is not None:
-        kw["timeout"] = args.timeout_secs
-    rep = solve(F, **kw)
+    rep = solve(F, max_degree=args.max_degree, apriori_bound=args.apriori,
+                timeout=args.timeout_secs)
     result = _solve_report_dict(rep, F.ring)
     human = (
         f"solving degree: {rep.solving_degree}\n"

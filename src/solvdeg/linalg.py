@@ -12,12 +12,21 @@ reduced row echelon form are read back on demand, for the chosen slots
 only (reduced_rows), by one pass over the later blocks (the
 back-substitution of Faugere and Lachartre, PASCO 2010).
 
+KnownPivotSplit is the one elimination of a Macaulay matrix, for the
+solver and for the Hilbert ranks alike.  Its rows lead with 1 at
+columns known without elimination; one row per distinct lead is a
+known pivot row, back-substituted over its terms to [I | X], and only
+the Schur rows D - C*X of the others reach a RowReducer, over the
+columns no known row leads.
+
 All arithmetic is exact.  For small p the working matrices are float32 or
 float64 and the block updates run through BLAS, valid because every
 intermediate value is an integer below the dtype's 2^24 or 2^53 (see
 _float_ok); the narrowest dtype whose gate admits the row width is used,
 so the smallest primes get single precision and twice the BLAS speed.
 For large p the code falls back to int64 with chunked inner products.
+The split's X, C and S take _kernel_dtype(p, npiv + 1), for npiv known
+pivot rows: npiv + 1 bounds every inner product they enter.
 Float arrays are reduced to symmetric residues, |r| <= p - 1, by one
 rounded multiply (mod_p), which avoids the slow hardware fmod and any
 correction pass; the residues are mapped to [0, p) only when read back.
@@ -177,22 +186,16 @@ class RowReducer:
 
     # -- reading back ----------------------------------------------------------
 
-    def stored_row(self, slot: int) -> np.ndarray:
-        """The stored row of a pivot slot, as kept: a read-only view in the
-        kernel's dtype, symmetric residues on the float path.
-
-        It leads with 1 at its pivot column and is clear of the pivot
-        columns of its own block and of every earlier block, but may
-        still hold pivot columns of later blocks.  It never changes once
-        add_rows has returned.
-        """
-        row = self._P[slot]
-        row.flags.writeable = False
-        return row
-
     def stored_rows(self) -> np.ndarray:
-        """The stored rows of every slot, in slot order: a read-only view,
-        each row as stored_row gives it."""
+        """The stored rows of every slot, in slot order, as kept: a
+        read-only view in the kernel's dtype, symmetric residues on the
+        float path.
+
+        A stored row leads with 1 at its slot's pivot column and is clear
+        of the pivot columns of its own block and of every earlier block,
+        but may still hold pivot columns of later blocks.  It never
+        changes once add_rows has returned.
+        """
         rows = self._P[: self.rank]
         rows.flags.writeable = False
         return rows
@@ -230,12 +233,14 @@ class RowReducer:
         out[order] = np.mod(X, self.p)
         return out
 
-    def reduce_vector(self, v: np.ndarray) -> np.ndarray:
-        """Normal form of one row against the current pivot rows."""
-        w = np.array(v, dtype=self.dtype).reshape(1, -1)
+    def reduce_vector(self, v: np.ndarray, before_block=None) -> np.ndarray:
+        """Normal form of one row, or of each row of a matrix, against the
+        current pivot rows, residues in [0, p).  `before_block`, if given,
+        is called before each block's product."""
+        w = np.array(v, dtype=self.dtype, ndmin=2)
         mod_p(w, self.p)
-        self._cascade(w)
-        return np.mod(w[0], self.p)
+        self._cascade(w, before_block)
+        return np.mod(w, self.p).reshape(np.shape(v))
 
     # -- feeding -------------------------------------------------------------
 
@@ -246,9 +251,11 @@ class RowReducer:
             out.extend(self._add_batch(rows[lo : lo + BLOCK_ROWS]))
         return out
 
-    def _cascade(self, B: np.ndarray) -> None:
+    def _cascade(self, B: np.ndarray, before_block=None) -> None:
         """Clear every existing pivot column from the rows of B, in place."""
         for s, e in self._blocks:
+            if before_block is not None:
+                before_block()
             cols = self._pc_arr[s:e]
             coeffs = B[:, cols]
             if np.any(coeffs):
@@ -337,6 +344,224 @@ class RowReducer:
             if np.any(coeffs):
                 _sub_matmul_mod(N1, coeffs, N2, p)
         return slots
+
+
+# -- the known-pivot split ------------------------------------------------------
+
+# Rows per product in the back-substitution of the known pivot rows.
+_RUN = 32
+
+
+def product_rows(parts, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every (cols, coeffs) part, in order, as one padded
+    (cols, coeffs) pair of int64 arrays.
+
+    A part has one row of column positions per product, and the
+    coefficients of its source, term for term.  Rows are padded to a
+    common width with column `pad` and coefficient 0.
+    """
+    width = max(c.shape[1] for c, _ in parts)
+    cols = np.full((sum(len(c) for c, _ in parts), width), pad, dtype=np.int64)
+    coeffs = np.zeros(cols.shape, dtype=np.int64)
+    at = 0
+    for c, v in parts:
+        cols[at:at + len(c), :c.shape[1]] = c
+        coeffs[at:at + len(c), :len(v)] = v
+        at += len(c)
+    return cols, coeffs
+
+
+def _back_substitute(X: np.ndarray, rows: np.ndarray, deps: np.ndarray,
+                     coeffs: np.ndarray, p: int) -> None:
+    """In place: X[i] := X[i] - sum_j coeffs[j] X[deps[j]] (mod p) over
+    the entries j with rows[j] = i, each X[deps[j]] taken after its own
+    update.
+
+    Every entry must point below its row, deps[j] > rows[j], and no row
+    may hold one dependency twice.  The callers build the entries from
+    rows sorted by lead, so an entry at or above its row, which would
+    make the update circular, is a bug: it raises RuntimeError.  Rows go
+    by depth: a row without entries has depth 1, any other row one more
+    than its deepest entry, so a depth needs only the depths before it.
+    A depth is done in runs of _RUN rows, one product per run over just
+    the rows the run uses (rows close in order share most of them), split
+    into products over BLOCK_ROWS of those rows at a time, so that the
+    rows of X gathered for one product stay few even when the run's rows
+    have many terms.
+    """
+    if np.any(deps <= rows):
+        raise RuntimeError("a back-substitution entry points at or above "
+                           "its own row")
+    if not len(rows):
+        return
+    order = np.argsort(rows, kind="stable")
+    rows, deps, coeffs = rows[order], deps[order], coeffs[order]
+    heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    owners = rows[heads]
+    depth = np.ones(len(X), dtype=np.int64)
+    # Depths only grow, and every entry points below its row, so this
+    # settles within as many rounds as the longest chain of entries.
+    while True:
+        new = np.maximum.reduceat(depth[deps], heads) + 1
+        if np.array_equal(new, depth[owners]):
+            break
+        depth[owners] = new
+    # Entries grouped by the depth of their row, in row order within one.
+    order = np.argsort(depth[rows], kind="stable")
+    rows, deps, coeffs = rows[order], deps[order], coeffs[order]
+    level_of = depth[rows]
+    for level in range(2, int(depth.max()) + 1):
+        level_rows = np.flatnonzero(depth == level)
+        lo, hi = np.searchsorted(level_of, (level, level + 1))
+        r_lv, d_lv, c_lv = rows[lo:hi], deps[lo:hi], coeffs[lo:hi]
+        cuts = np.append(np.searchsorted(r_lv, level_rows[::_RUN]), hi - lo)
+        for run, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            run_rows = level_rows[run * _RUN:(run + 1) * _RUN]
+            used = np.unique(d_lv[a:b])
+            C = np.zeros((len(run_rows), len(used)), dtype=X.dtype)
+            C[np.searchsorted(run_rows, r_lv[a:b]),
+              np.searchsorted(used, d_lv[a:b])] = c_lv[a:b]
+            Y = X[run_rows]
+            for lo_u in range(0, len(used), BLOCK_ROWS):
+                part = slice(lo_u, lo_u + BLOCK_ROWS)
+                _sub_matmul_mod(Y, C[:, part], X[used[part]], p)
+            X[run_rows] = Y
+
+
+def _known_block(kcols: np.ndarray, kcoeffs: np.ndarray, extra: tuple | None,
+                 piv_of: np.ndarray, free_of: np.ndarray, dtype,
+                 p: int) -> np.ndarray:
+    """X of [I | X], the known pivot rows reduced on the pivot columns.
+
+    The rows are the products (kcols, kcoeffs), padded and led by their
+    first column, and the extra rows in CSR form (leads, offsets,
+    columns, coefficients).  piv_of and free_of map a column to its
+    index among the pivot and the free columns, or one past the end.  X
+    keeps one spare column, which takes the writes of the padding and of
+    the pivot columns, and is returned as a view without it, not copied
+    out; the terms, flattened here, are freed on return.  With no pivot
+    or no free column, there is nothing to reduce.
+    """
+    npiv, nfree = int(piv_of[-1]), int(free_of[-1])
+    if not (npiv and nfree):
+        return np.zeros((npiv, nfree), dtype=dtype)
+    leads = np.repeat(kcols[:, 0], kcols.shape[1])
+    cols, coeffs = kcols.ravel(), kcoeffs.ravel()
+    if extra is not None:
+        xleads, xptr, xcols, xvals = extra
+        leads = np.concatenate([leads, np.repeat(xleads, np.diff(xptr))])
+        cols = np.concatenate([cols, xcols])
+        coeffs = np.concatenate([coeffs, xvals])
+    rows = piv_of[leads]
+    coeffs = coeffs.astype(dtype)
+    X = np.zeros((npiv, nfree + 1), dtype=dtype)
+    X[rows, free_of[cols]] = coeffs
+    deps = piv_of[cols]
+    inner = (deps < npiv) & (deps != rows)  # neither padding nor lead
+    _back_substitute(X[:, :nfree], rows[inner], deps[inner], coeffs[inner], p)
+    return X[:, :nfree]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, start + 1, ..., start + length - 1 of each
+    (start, length), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+
+
+class KnownPivotSplit:
+    """The Faugere-Lachartre split (PASCO 2010) of a Macaulay matrix whose
+    rows lead with 1 mod p at a column known without elimination.
+
+    1. The rows are (cols, coeffs) from product_rows, padded with column
+       ncols; a row's first column is its lead.
+    2. One row per distinct lead, among the rows from `first` on, is a
+       known pivot row.  `extra(pivots, known)`, if given, is called with
+       their leads and row indices, and may return more known pivot rows
+       in CSR form (leads, offsets, columns, coefficients), led by
+       columns no row leads.
+    3. The known pivot rows, sorted by lead, form [T | N] on (pivot
+       columns | free columns), with T unit upper triangular mod p, since
+       every lead is 1 mod p and every other term lies at a later
+       column; their leads are `pivots`, the other columns `free`.
+       Back-substitution over their terms turns it into [I | X],
+       X = T^-1 N, by row operations within these rows.
+    4. Every other row (C | D), and every row given to feed later, has
+       the Schur row D - C*X: it is the row minus C*[I | X], so it lies
+       in the same row space.  feed forms them in blocks of BLOCK_ROWS
+       and feeds them to `reducer`, a RowReducer over the free columns.
+
+    The row space is therefore spanned by [I | X] and the Schur rows
+    (0 | S), the first independent on the pivot columns where the second
+    vanishes: the rank is npiv + reducer.rank.  The reduced row echelon
+    form holds, for a known pivot row, (I | X) with its X row cleared of
+    the reducer's pivot columns (reducer.reduce_vector), and for a
+    reducer slot, (0 | its row of reducer.reduced_rows).
+
+    Exactness.  X - A*B with inner length k runs in a float dtype only
+    when _float_ok(p, k + 1, dtype); the inner lengths are at most
+    BLOCK_ROWS in the back-substitution and npiv for the Schur rows, and
+    every entry is a residue or a mod_p result, |r| <= p - 1.  So X, C
+    and S take _kernel_dtype(p, npiv + 1).  The reducer keeps its own
+    gates.
+    """
+
+    def __init__(self, p: int, ncols: int, cols: np.ndarray,
+                 coeffs: np.ndarray, first: int = 0,
+                 extra=lambda pivots, known: None, before_block=lambda: None):
+        pivots, known = np.unique(cols[first:, 0], return_index=True)
+        known += first
+        self.extra = extra(pivots, known)
+        if self.extra is not None:
+            pivots = np.sort(np.concatenate([pivots, self.extra[0]]))
+        self.p, self.pivots, self.before_block = p, pivots, before_block
+        self.npiv, self.nfree = npiv, nfree = len(pivots), ncols - len(pivots)
+        # Column -> index among the pivot (resp. free) columns; the padding
+        # column and the other kind map one past the end.
+        self._piv_of = np.full(ncols + 1, npiv, dtype=np.int64)
+        self._piv_of[pivots] = np.arange(npiv)
+        self.free = np.flatnonzero(self._piv_of[:ncols] == npiv)
+        self._free_of = np.full(ncols + 1, nfree, dtype=np.int64)
+        self._free_of[self.free] = np.arange(nfree)
+        self.dtype = _kernel_dtype(p, npiv + 1)
+        self.X = _known_block(cols[known], coeffs[known], self.extra,
+                              self._piv_of, self._free_of, self.dtype, p)
+        self.others = np.delete(np.arange(len(cols)), known)
+        self.reducer = RowReducer(p, nfree)
+        self._C = self._S = np.empty((0, 0), dtype=self.dtype)
+
+    def feed(self, cols: np.ndarray, coeffs: np.ndarray,
+             rows: np.ndarray) -> list[int | None]:
+        """Feed the Schur rows of the given rows of (cols, coeffs) to the
+        reducer, calling before_block before each block.
+
+        Once the reducer's rank fills the free columns no row can add a
+        pivot, and the rest are skipped.  Returns one reducer slot, or
+        None, per row.
+        """
+        slots: list[int | None] = []
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            if self.reducer.rank == self.nfree:
+                break
+            self.before_block()
+            chunk = rows[lo:lo + BLOCK_ROWS]
+            if len(self._C) < len(chunk):
+                # Allocated once, as large as the first feed needs, so
+                # the peak memory does not depend on the number of blocks.
+                size = max(len(chunk), min(BLOCK_ROWS, len(self.others)))
+                self._C = np.empty((size, self.npiv + 1), dtype=self.dtype)
+                self._S = np.empty((size, self.nfree + 1), dtype=self.dtype)
+            ccols, ccoeffs = cols[chunk], coeffs[chunk]
+            at = np.arange(len(chunk))[:, None]
+            C, S = self._C[:len(chunk)], self._S[:len(chunk)]
+            C.fill(0)
+            C[at, self._piv_of[ccols]] = ccoeffs
+            S.fill(0)
+            S[at, self._free_of[ccols]] = ccoeffs
+            _sub_matmul_mod(S[:, :self.nfree], C[:, :self.npiv], self.X,
+                            self.p)
+            slots.extend(self.reducer.add_rows(S[:, :self.nfree]))
+        return slots + [None] * (len(rows) - len(slots))
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:

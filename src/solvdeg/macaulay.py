@@ -1,11 +1,18 @@
 """The Macaulay-matrix solving algorithm, instrumented.
 
 The solver builds the degree-d matrix of a system (columns all monomials
-of degree <= d in descending degrevlex, rows the multiples of the input
-polynomials), row-reduces without permuting rows, closes the row space
-under multiplication by variables (below degree d), and only then
-decides whether the pivot rows reveal a Groebner basis.  The least
+of degree <= d in descending degrevlex, rows the multiples of the monic
+input polynomials), row-reduces it without permuting rows, closes the
+row space under multiplication by variables (below degree d), and only
+then decides whether the pivot rows reveal a Groebner basis.  The least
 degree at which they do is the measured solving degree.
+
+The elimination is the known-pivot split of linalg.KnownPivotSplit, the
+one that analyze's rank pass uses too: the products with distinct leads
+are pivots without elimination, and only the Schur complement of the
+other rows, on the columns no product leads, goes through the dense
+RowReducer.  X, C and S take _kernel_dtype(p, npiv + 1); the proof is in
+the split's docstring.
 
 The stopping test is done outside the matrix, by polynomial division of
 the S-polynomials whose lcm has degree above d against the candidate
@@ -24,10 +31,10 @@ from math import comb
 import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 # reduce_basis is unused here: perfbench/layers.py wraps it by name.
 from .groebner import is_groebner_basis, reduce_basis
-from .linalg import BLOCK_ROWS, RowReducer
+from .linalg import KnownPivotSplit, product_rows
 from .poly import (
     Monomial,
     MonomialIndex,
@@ -73,10 +80,11 @@ def _check_deadline(deadline: float | None) -> None:
 class DegreeTrace:
     """What happened at one degree: matrix size, rank, fall count.
 
-    `rows` counts every row fed to the eliminator: the initial products
-    u*f_j of degree <= `degree` plus the variable multiples fed by the
-    closure.  `degree_falls` counts the pivot slots whose leading term
-    has a lower degree than that of the row fed for them.
+    `rows` counts every row of the matrix: the initial products u*f_j of
+    degree <= `degree`, known pivot rows and Schur rows alike, plus the
+    variable multiples fed by the closure.  `degree_falls` counts the
+    pivot slots whose leading term has a lower degree than that of the
+    row fed for them; a known pivot row leads where its product does.
     """
 
     degree: int
@@ -101,172 +109,183 @@ def _ascending_keys(n: int, k: int) -> np.ndarray:
     return monomial_keys_up_to(n, k)[comb(n + k - 1, k) - 1::-1]
 
 
-class _Elimination:
-    """One degree of the algorithm: feed rows, close under variables.
+# A degree with at most this many products takes none as known pivots:
+# below it, the split's fixed cost, a few array operations per depth of
+# the back-substitution, outweighs the dense elimination of the rows.
+_SPLIT_ROWS = 64
 
-    The rows fed first are the products u*f_j of degree <= d, by
-    ascending degree.  The closure then multiplies pivot rows of degree
-    < d by each variable, visiting every pivot slot once, in the first
-    round after it appears, and multiplying its row as the RowReducer
-    stores it.  Rounds repeat until a round adds no pivot.  A slot of
-    degree < d closes (its row is multiplied) when the row fed for it
-    came from the closure, or is a product of degree d, which then fell.
-    Any other slot, open, was fed a product u*f_j of degree < d, and each
+
+def _monic_terms(polys: list[Polynomial]) -> list[tuple]:
+    """(degree, keys, coefficients) of each input made monic: the inputs
+    of _Elimination, built once per solve.  Residues below 2^31 keep the
+    products below 2^62."""
+    return [(f.degree, keys,
+             coeffs * f.leading_coefficient.inverse().value % f.field.p)
+            for f in polys for keys, coeffs in [term_arrays(f)]]
+
+
+class _Elimination:
+    """One degree of the algorithm: split the rows, close under variables.
+
+    The rows are the products u*f_j of degree <= d of the monic inputs,
+    by ascending degree, and the closure rows.  They go through a
+    known-pivot split (linalg.KnownPivotSplit): the first product of
+    each distinct lead u*LM(f_j) is a known pivot row, reduced to
+    [I | X]; every other product becomes a Schur row, fed in order to
+    the split's RowReducer over the free columns.  (A degree with at
+    most _SPLIT_ROWS products takes no known pivot row: [I | X] is empty
+    below, and every product is a Schur row.)  The closure then
+    multiplies Schur pivot rows of degree < d by each variable, visiting
+    every Schur slot once, in the first round after it appears, and
+    multiplying its row as the RowReducer stores it (zero on the known
+    pivot columns); x_i*s goes through the same Schur step.  Rounds
+    repeat until a round adds no pivot.  A slot of degree < d closes
+    (its row is multiplied) when the row fed for it came from the
+    closure, or is a product of degree d, which then fell.  Any other
+    slot, open, was fed a product u*f_j of degree < d, and each
     x_i*u*f_j is an initial row itself.
 
     The row space W at the fixpoint is the smallest space V that holds
     every u*f_j of degree <= d and x_i*v for every v in V of degree < d.
-    W is inside V, since every fed row is.  For the converse, call v
-    good if x_i*v lies in W for every i.  The good rows form a space,
-    which holds the stored row of a closing slot, since the closure
-    multiplied it, and every initial row of degree < d.  Two facts.
+    W is inside V, since every row is: a known pivot row is a product,
+    and a Schur row is its row minus a combination of them.  For the
+    converse, call v good if x_i*v lies in W for every i.  The good rows
+    form a space, which holds every initial row of degree < d and the
+    stored row of a closing slot, since the closure multiplied it.
 
-    (1) The RowReducer never swaps rows.  The row g_s fed for slot s
-        fills it exactly when it is independent of the rows fed before
-        it, and then n_s = g_s - u_s, with u_s in their span, scaled to
-        lead with 1 and zero at every earlier pivot column.  Its stored
-        row r_s is n_s minus multiples of the stored rows of later slots
-        of the same flush, and never changes once stored.
+    Known rows never close.  A known row of degree < d is an initial
+    product, and its [I | X] form combines only known rows of lower or
+    equal lead, so of degree < d: it is good.  The Schur row of a row g
+    is g minus known rows of lead at most lead(g), so of degree at most
+    deg(g); if deg(g) < d, both are good.  Two facts about the Schur
+    rows, as the RowReducer takes them.
+
+    (1) The RowReducer never swaps rows.  The Schur row g_s fed for slot
+        s fills it exactly when it is independent of the Schur rows fed
+        before it, and then n_s = g_s - u_s, with u_s in their span,
+        scaled to lead with 1 and zero at every earlier pivot column.
+        Its stored row r_s is n_s minus multiples of the stored rows of
+        later slots of the same add_rows call, and is fixed once stored:
+        the closure multiplies the row that stays.
     (2) The stored rows are semi-echelon, and so are the stored rows of
-        earlier flushes together with the n_t of a flush: their leads
-        are distinct, with nothing left of them.  So a combination of
-        them leads where the largest lead it uses does, and uses no row
-        of higher degree.
+        earlier calls together with the n_t of a call: their leads are
+        distinct, with nothing left of them.  So a combination of them
+        leads where the largest lead it uses does, and uses no row of
+        higher degree.
 
-    By (2), the r_s of degree < d span the rows of W of degree < d, so
-    it suffices that each is good.  Induct over flushes: those of the
-    earlier flushes are good.  In a closure flush every new slot closes.
-    In an initial flush, rows come by ascending degree, so no open slot
-    follows a closing one.  Up the open slots: u_s has degree at most
-    deg(g_s) < d, so by (2) it combines stored rows of earlier flushes
-    and n_t of earlier slots of this flush, all of degree < d, so of
-    open slots: all good, and with g_s, n_s is good.  Down the open
-    slots: r_s - n_s combines stored rows of later slots of this flush,
-    of degree <= deg(r_s) < d, each closing or open and good, so r_s is
-    good.  Since the reduced row echelon form of a space is unique, the
-    pivots, the rank and the extracted basis are those of V, whichever
-    rows spanned it.
+    W is spanned by [I | X] and the r_s, which vanish on the known pivot
+    columns, so together they are semi-echelon too, and as in (2) a row
+    of W of degree < d combines only those of degree < d.  The known
+    ones are good, so it suffices that each r_s of degree < d is good.
+    Induct over add_rows calls (one per block of Schur rows): those of
+    the earlier calls are good.  In a closure call every new slot
+    closes.  In an initial call, rows come by ascending degree, so
+    no open slot follows a closing one.  Up the open slots: g_s is the
+    Schur row of a product of degree < d, so good, and of degree < d;
+    u_s has degree at most deg(g_s), so by (2) it combines stored rows
+    of earlier calls and n_t of earlier slots of this call, all of
+    degree < d, so of open slots: all good, and so n_s is good.  Down
+    the open slots: r_s - n_s combines stored rows of later slots of
+    this call, of degree <= deg(r_s) < d, each closing or open and good,
+    so r_s is good.  Since the reduced row echelon form of a space is
+    unique, the pivots, the rank and the extracted basis are those of V,
+    whichever rows spanned it.
     """
 
-    def __init__(self, polys: list[Polynomial], d: int, p: int,
+    def __init__(self, inputs: list[tuple], d: int, p: int,
                  deadline: float | None):
+        _check_deadline(deadline)
         self.d = d
-        self.p = p
-        self.deadline = deadline
-        self.n = polys[0].nvars
-        self.index = MonomialIndex(self.n, d)
-        self.columns = monomials_up_to(self.n, d)
-        self.keys = monomial_keys_up_to(self.n, d)
-        self._degree = self.keys[:, -1].tolist()  # per column
-        self.engine = RowReducer(p, self.index.size)
-        # Per pivot slot, in order of appearance: whether it closes.
+        self.n = n = inputs[0][1].shape[1]
+        self.index = MonomialIndex(n, d)
+        self.keys = monomial_keys_up_to(n, d)
+        parts = [(self.index.product_positions(
+                      keys, _ascending_keys(n, e - deg)), coeffs)
+                 for e in range(min(deg for deg, _, _ in inputs), d + 1)
+                 for deg, keys, coeffs in inputs if deg <= e]
+        cols, coeffs = product_rows(parts, self.index.size)
+        self.split = KnownPivotSplit(
+            p, self.index.size, cols, coeffs,
+            0 if len(cols) > _SPLIT_ROWS else len(cols),
+            before_block=lambda: _check_deadline(deadline))
+        self._free_degree = self.keys[self.split.free, -1].tolist()
+        # Per Schur slot, in order of appearance: whether it closes.
         self.closes: list[bool] = []
-        self.rows_fed = 0
+        self.rows_fed = len(cols)
         self.fall_events = 0
-        self._block = np.zeros((BLOCK_ROWS, self.index.size),
-                               dtype=self.engine.dtype)
-        self._tags = np.zeros(BLOCK_ROWS, dtype=np.int64)
-        self._initial = np.zeros(BLOCK_ROWS, dtype=bool)
-        self._filled = 0
-        terms = [term_arrays(f) for f in polys]
-        for e in range(min(f.degree for f in polys), d + 1):
-            for f, (keys, coeffs) in zip(polys, terms):
-                if f.degree <= e:
-                    self._queue_products(
-                        keys, coeffs, _ascending_keys(self.n, e - f.degree),
-                        initial=True)
-        self._flush()
+        self._feed(cols, coeffs, self.split.others, initial=True)
         self._close()
 
-    # row building -----------------------------------------------------------
-
-    def _queue_products(self, keys: np.ndarray, coeffs: np.ndarray,
-                        mult_keys: np.ndarray, initial: bool) -> None:
-        """Queue the rows u*f, u running over mult_keys in order.
-
-        Each row is tagged with its leading column and whether it is an
-        initial u*f_j; rows are fed to the eliminator in blocks of
-        BLOCK_ROWS.
-        """
-        cols = self.index.product_positions(keys, mult_keys)
-        done = 0
-        while done < len(cols):
-            take = min(len(cols) - done, BLOCK_ROWS - self._filled)
-            part = cols[done:done + take]
-            rows = slice(self._filled, self._filled + take)
-            np.put_along_axis(self._block[rows], part, coeffs[None], axis=1)
-            self._tags[rows] = part[:, 0]
-            self._initial[rows] = initial
-            self._filled += take
-            done += take
-            if self._filled == BLOCK_ROWS:
-                self._flush()
-
-    def _flush(self) -> None:
-        """Feed the queued rows and decide which new slots close."""
-        if not self._filled:
-            return
-        _check_deadline(self.deadline)
-        filled = self._filled
-        slots = self.engine.add_rows(self._block[:filled])
-        self._block[:filled] = 0
-        self._filled = 0
-        self.rows_fed += filled
-        deg, cols = self._degree, self.engine.pivot_cols
-        for slot, tag, initial in zip(slots, self._tags[:filled].tolist(),
-                                      self._initial[:filled].tolist()):
+    def _feed(self, cols: np.ndarray, coeffs: np.ndarray, rows: np.ndarray,
+              initial: bool) -> None:
+        """Feed the Schur rows of the given rows of (cols, coeffs) and
+        decide which new slots close."""
+        deg, pivot_cols = self._free_degree, self.split.reducer.pivot_cols
+        slots = self.split.feed(cols, coeffs, rows)
+        # A row's degree is that of its lead, its first column.
+        for slot, fed in zip(slots, self.keys[cols[rows, 0], -1].tolist()):
             if slot is None:
                 continue
-            e, fed = deg[cols[slot]], deg[tag]
+            e = deg[pivot_cols[slot]]
             self.fall_events += e < fed
             # New slots are numbered on from len(self.closes), in row order.
             self.closes.append(e < self.d and (not initial or fed == self.d))
 
-    # closure under variables ------------------------------------------------
-
     def _close(self) -> None:
-        engine = self.engine
+        engine, visited = self.split.reducer, 0  # slots in order of appearance
+        free_keys = self.keys[self.split.free]
         variables = _ascending_keys(self.n, 1)
-        visited = 0  # slots are numbered in order of appearance
         while visited < engine.rank:
-            _check_deadline(self.deadline)
             start, visited = visited, engine.rank
+            parts = []
             for slot in range(start, visited):
-                if not self.closes[slot]:
-                    continue
-                row = engine.stored_row(slot)
-                nz = np.flatnonzero(row)
-                self._queue_products(self.keys[nz], row[nz], variables,
-                                     initial=False)
-            self._flush()
-
-
-def _vector_to_poly(content: np.ndarray, columns: tuple[Monomial, ...],
-                    fld: PrimeField) -> Polynomial:
-    nz = np.nonzero(content)[0]
-    terms = [(columns[int(i)], FieldElement(int(content[int(i)]), fld))
-             for i in nz]
-    return Polynomial(terms, columns[0].nvars, fld)
+                if self.closes[slot]:
+                    row = engine.stored_rows()[slot]
+                    nz = np.flatnonzero(row)
+                    parts.append((self.index.product_positions(
+                        free_keys[nz], variables), row[nz]))
+            if parts:
+                cols, coeffs = product_rows(parts, self.index.size)
+                self.rows_fed += len(cols)
+                self._feed(cols, coeffs, np.arange(len(cols)), initial=False)
 
 
 def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomial]:
     """Pivot rows with minimal leading terms, by ascending leading term.
 
-    Only the kept rows are back-substituted, by the RowReducer's
-    read-back, which checks the deadline before each block.  They come
-    back as rows of the RREF: monic, and, the row space being closed,
-    clear of every tail term that a kept lead divides (fact (c) in
-    `solve`'s docstring), so no inter-reduction pass follows.  Columns
-    run in descending degrevlex, so descending column is ascending lead.
+    Only the kept rows are read back, as rows of the RREF: a kept known
+    pivot row is (I | X) with its X row cleared of the Schur pivot
+    columns by the cascade of the split's RowReducer, and a kept Schur
+    slot is (0 | its row of RowReducer.reduced_rows).  Both check the
+    deadline before each block.  The rows come back monic and, the row
+    space being closed, clear of every tail term that a kept lead
+    divides (fact (c) in `solve`'s docstring), so no inter-reduction
+    pass follows.  Columns run in descending degrevlex, so descending
+    column is ascending lead.
     """
-    engine, columns = elim.engine, elim.columns
+    split = elim.split
+    engine, npiv, free = split.reducer, split.npiv, split.free.tolist()
+    columns = monomials_up_to(elim.n, elim.d)
+    leads = split.pivots.tolist() + [free[c] for c in engine.pivot_cols]
     kept: list[tuple[Monomial, int]] = []
-    for slot, c in sorted(enumerate(engine.pivot_cols), key=lambda t: -t[1]):
-        if not any(km.divides(columns[c]) for km, _ in kept):
-            kept.append((columns[c], slot))
-    rows = engine.reduced_rows([slot for _, slot in kept],
-                               lambda: _check_deadline(elim.deadline))
-    return [_vector_to_poly(row, columns, fld) for row in rows]
+    for i in sorted(range(len(leads)), key=leads.__getitem__, reverse=True):
+        m = columns[leads[i]]
+        if not any(km.divides(m) for km, _ in kept):
+            kept.append((m, i))
+    known = iter(engine.reduce_vector(
+        split.X[[i for _, i in kept if i < npiv]], split.before_block))
+    schur = iter(engine.reduced_rows(
+        [i - npiv for _, i in kept if i >= npiv], split.before_block))
+    basis = []
+    for m, i in kept:
+        row = next(known) if i < npiv else next(schur)
+        nz = np.flatnonzero(row)
+        terms = [(columns[free[j]], v) for j, v in
+                 zip(nz.tolist(), row[nz].astype(np.int64).tolist())]
+        if i < npiv:  # the lead of a known row, on the pivot columns
+            terms.append((m, 1))
+        basis.append(Polynomial(terms, elim.n, fld))
+    return basis
 
 
 # -- public operations ---------------------------------------------------------
@@ -282,7 +301,10 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     With `apriori_bound` given, run the elimination up to that degree
     instead and return its basis without certification.  `max_degree`
     caps the certified mode only, so giving both stop rules is an error,
-    and so is either one below the largest input degree.
+    and so is either one below the largest input degree.  `timeout` is
+    checked before each block of rows, of the extraction's read-back and
+    before each S-pair division; once it is reached, SolveTimeout carries
+    the degrees done.
 
     Why nothing else needs checking.  Let V_d be the row space that
     _Elimination builds, closed as its docstring proves, and G its pivot
@@ -305,7 +327,7 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     (c) A tail term m of g in G has degree <= d.  If the lead of some h
         in G divided it, m = u*lead(h) would lead u*h in V_d, so m would
         be a pivot column.  The pivot rows are kept only semi-echelon,
-        but G is read back (RowReducer.reduced_rows) as rows of the RREF,
+        but G is read back (_extract_reduced_basis) as rows of the RREF,
         which are clear of every pivot column but their own.  So G's
         tails are reduced, and with its monic rows and minimal leads G
         is what reduce_basis would return, at any degree and in apriori
@@ -316,7 +338,6 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     polys = [f for f in F.polys if not f.is_zero()]
     if not polys:
         raise ValueError("cannot solve a system with no nonzero polynomials")
-    p = F.ring.modulus.p
     fld = F.ring.modulus
     d0 = max(f.degree for f in polys)
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -335,27 +356,31 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
         raise ValueError(
             f"degree cap {end} below the largest input degree {d0}")
 
+    inputs = _monic_terms(polys)
     trace: list[DegreeTrace] = []
     for d in range(d0, end + 1):
         try:
-            elim = _Elimination(polys, d, p, deadline)
+            elim = _Elimination(inputs, d, fld.p, deadline)
             trace.append(DegreeTrace(
                 degree=d, rows=elim.rows_fed, cols=elim.index.size,
-                rank=elim.engine.rank, degree_falls=elim.fall_events,
+                rank=elim.split.npiv + elim.split.reducer.rank,
+                degree_falls=elim.fall_events,
             ))
             if apriori_bound is not None and d < end:
                 continue
             basis = _extract_reduced_basis(elim, fld)
+            if apriori_bound is not None:
+                stop_reason = "apriori_bound"
+            elif is_groebner_basis(
+                    basis, closed_degree=d,
+                    before_pair=lambda: _check_deadline(deadline)):
+                stop_reason = "spair_check"
+            else:
+                continue
         except SolveTimeout:
             raise SolveTimeout(
                 f"solve timed out at degree {d}", tuple(trace)
             ) from None
-        if apriori_bound is not None:
-            stop_reason = "apriori_bound"
-        elif is_groebner_basis(basis, closed_degree=d):
-            stop_reason = "spair_check"
-        else:
-            continue
         return SolveReport(
             basis=tuple(basis),
             solving_degree=d,

@@ -29,8 +29,8 @@ from solvdeg import (
     top_system,
 )
 from solvdeg import analyze
-from solvdeg.analyze import _back_substitute, _rank_pass
-from solvdeg.linalg import rank_mod_p
+from solvdeg.analyze import _rank_pass
+from solvdeg.linalg import _back_substitute, rank_mod_p
 from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
 from solvdeg.presets import gap_quartic_system
@@ -255,9 +255,9 @@ def test_analyze_computes_each_degree_of_each_system_once(monkeypatch):
     calls = []
     degree_rank = analyze._RankPass._degree_rank
 
-    def spy(self, d):
+    def spy(self, d, *args):
         calls.append((self.F, d))
-        return degree_rank(self, d)
+        return degree_rank(self, d, *args)
 
     monkeypatch.setattr(analyze._RankPass, "_degree_rank", spy)
     _rank_pass.cache_clear()
@@ -267,10 +267,41 @@ def test_analyze_computes_each_degree_of_each_system_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 43
 
 
+def test_rank_pass_deadline_holds_inside_a_degree(monkeypatch):
+    # A deadline reached while a degree feeds its Schur rows stops the
+    # degree at its next block.  The interrupted degree records nothing,
+    # so the pass, asked again, gives the ranks of a fresh pass.
+    F = random_system(7919, 6, [2] * 8, seed=1, homogeneous=True)
+    fresh = analyze._RankPass(F)
+    want = [fresh.rank(d) for d in range(8)]
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    feed = analyze.KnownPivotSplit.feed
+
+    def expire_at_products(split, *args):
+        if split.npiv:  # degree 3: the first with known pivots
+            clock[0] = 1e9
+        return feed(split, *args)
+
+    monkeypatch.setattr(analyze.KnownPivotSplit, "feed", expire_at_products)
+    _rank_pass.cache_clear()
+    rank_pass = _rank_pass(F)
+    with pytest.raises(SolveTimeout):
+        hilbert_function(F, 7, deadline=10.0)
+    assert rank_pass.ranks == want[:3]
+    assert [e for e, _, _ in rank_pass.gens] == [2] * 8
+    assert rank_pass.found is not None
+    monkeypatch.setattr(analyze.KnownPivotSplit, "feed", feed)
+    clock[0] = 0.0
+    assert [rank_pass.rank(d, 10.0) for d in range(8)] == want
+
+
 def test_back_substitute_rejects_backward_dependency():
-    # Row 1 depending on row 0 would make the depth count circular.
+    # Row 1 depending on row 0 would make the depth count circular.  The
+    # callers never build such entries, so it is an internal error, not
+    # bad input (which the CLI maps to exit 2).
     X = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="at or above"):
+    with pytest.raises(RuntimeError, match="at or above"):
         _back_substitute(X, np.array([0, 1]), np.array([2, 0]),
                          np.array([1.0, 1.0]), 7)
     _back_substitute(X, np.array([0, 1]), np.array([2, 2]),

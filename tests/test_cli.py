@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from solvdeg import linalg, macaulay
 from solvdeg.cli import (
     ParseError,
     UnknownVariable,
@@ -221,6 +222,24 @@ def test_solve_cap_below_input_degree_exit_2(flag, tmp_path, capsys):
     code, out, err = run_cli(["solve", str(path), flag, "3"], capsys)
     assert code == 2 and out == ""
     assert "below the largest input degree" in err
+
+
+def test_internal_error_does_not_exit_2(tmp_path, capsys, monkeypatch):
+    # A broken invariant inside the solver is a bug, not bad input: it
+    # must not exit 2.  Swapping each back-substitution entry's row and
+    # dependency makes every entry point above its row; every degree,
+    # however small, takes known pivots.
+    back_substitute = linalg._back_substitute
+
+    def reversed_entries(X, rows, deps, coeffs, p):
+        back_substitute(X, deps, rows, coeffs, p)
+
+    monkeypatch.setattr(linalg, "_back_substitute", reversed_entries)
+    monkeypatch.setattr(macaulay, "_SPLIT_ROWS", 0)
+    path = tmp_path / "gap.sys"
+    path.write_text(GAP_TEXT)
+    with pytest.raises(RuntimeError, match="at or above"):
+        main(["solve", str(path)])
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

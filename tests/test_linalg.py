@@ -113,7 +113,7 @@ def test_read_back_matches_rref_oracle(p, dtype):
         pc = eng.pivot_cols
         for s, e in eng._blocks:
             for slot in range(s, e):
-                row = eng.stored_row(slot).astype(np.int64) % p
+                row = eng.stored_rows()[slot].astype(np.int64) % p
                 assert row[pc[slot]] == 1 and not np.any(row[: pc[slot]])
                 assert not np.any(np.delete(row[pc[:e]], slot))
         want = {r.index(1): r for r in oracle_rref_rows(M.tolist(), p)}

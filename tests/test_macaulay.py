@@ -19,9 +19,10 @@ from solvdeg import (
     s_polynomial,
     solve,
 )
+from solvdeg import macaulay
 from solvdeg.analyze import regularity_from_hilbert, semiregular_test
 from solvdeg.linalg import RowReducer
-from solvdeg.macaulay import _Elimination, _extract_reduced_basis
+from solvdeg.macaulay import _Elimination, _extract_reduced_basis, _monic_terms
 from solvdeg.poly import Monomial, monomials_up_to
 from solvdeg.presets import (
     gap_quartic_system,
@@ -171,6 +172,35 @@ def test_presets_solving_degree_and_basis_size(system, expected):
     assert (rep.solving_degree, len(rep.basis)) == expected
 
 
+@pytest.fixture
+def split_every_degree(monkeypatch):
+    # Small degrees take no known pivots by default; here every degree
+    # goes through the known-pivot split, however few its rows.
+    monkeypatch.setattr(macaulay, "_SPLIT_ROWS", 0)
+
+
+def _elimination(F, d):
+    polys = [f for f in F.polys if not f.is_zero()]
+    return _Elimination(_monic_terms(polys), d, F.ring.modulus.p, None)
+
+
+def _row_space(elim, p):
+    """A RowReducer over all columns, fed the rows the degree's
+    elimination keeps: the known pivot rows [I | X] and the stored rows
+    of its Schur RowReducer, put back on their columns."""
+    split = elim.split
+    ncols = elim.index.size
+    rank = split.npiv + split.reducer.rank
+    rows = np.zeros((rank, ncols), dtype=np.int64)
+    rows[np.arange(split.npiv), split.pivots] = 1
+    rows[:split.npiv, split.free] = np.mod(split.X, p)
+    rows[split.npiv:, split.free] = np.mod(split.reducer.stored_rows(), p)
+    engine = RowReducer(p, ncols)
+    engine.add_rows(rows)
+    assert engine.rank == rank
+    return engine
+
+
 def _closure_violations(F, d):
     """Rows that the degree-d elimination of F fails to contain.
 
@@ -179,9 +209,9 @@ def _closure_violations(F, d):
     formed by monomial multiplication and placed by exponent lookup,
     apart from the solver's column index.
     """
-    polys = [f for f in F.polys if not f.is_zero()]
-    elim = _Elimination(polys, d, F.ring.modulus.p, None)
-    engine, columns = elim.engine, elim.columns
+    elim = _elimination(F, d)
+    engine = _row_space(elim, F.ring.modulus.p)
+    columns = monomials_up_to(F.ring.n, d)
     col_of = {m.exps: i for i, m in enumerate(columns)}
     variables = [Monomial(tuple(int(i == k) for i in range(F.ring.n)))
                  for k in range(F.ring.n)]
@@ -208,33 +238,36 @@ def _closure_violations(F, d):
 _SMALL_SOLVE_SAMPLE = oracle_corpus()[3::12]
 
 
+# Random quadrics that climb from degree 2 to their solving degree 5.
+_CLIMB = random_system(7919, 6, [2] * 7, seed=1)
+# Over p = 2^31 - 1 the split and the closure run on the int64 path.  At
+# d = 3 six slots fall and close; at d = 4 the Schur rows fill every free
+# column, and the rest are skipped.
+_BIG = random_system(2**31 - 1, 3, [2] * 4, seed=1)
+
 _CLOSED_CASES = [
     pytest.param(gap_quartic_system(), d, id=f"gap-{d}") for d in (4, 5, 6)
 ] + [pytest.param(pair_product_system(), 14, id="pair-14")] + [
     pytest.param(F, max(F.degrees) + extra, id=f"small{3 + 12 * i}+{extra}")
     for i, F in enumerate(_SMALL_SOLVE_SAMPLE) for extra in (0, 1, 2)
+] + [pytest.param(_CLIMB, d, id=f"climb-{d}") for d in (2, 3, 4, 5)] + [
+    pytest.param(_BIG, d, id=f"int64-{d}") for d in (2, 3, 4)
 ]
-
-# Random quadrics that climb from degree 2 to their solving degree 5.
-_CLIMB = random_system(7919, 6, [2] * 7, seed=1)
 
 
 @pytest.mark.parametrize("F, d", _CLOSED_CASES)
-def test_elimination_row_space_is_closed(F, d):
+def test_elimination_row_space_is_closed(F, d, split_every_degree):
     assert _closure_violations(F, d) == []
 
 
-@pytest.mark.parametrize("F, d", _CLOSED_CASES + [
-    pytest.param(_CLIMB, d, id=f"climb-{d}") for d in (2, 3, 4, 5)
-])
-def test_closed_row_space_certifies_itself(F, d):
+@pytest.mark.parametrize("F, d", _CLOSED_CASES)
+def test_closed_row_space_certifies_itself(F, d, split_every_degree):
     # The facts solve relies on to skip work, checked by full division at
     # every degree, whether or not the basis is a Groebner basis yet:
     # (a) S-pairs with lcm of degree <= d reduce to zero, (b) so do the
     # inputs, (c) the extracted basis is already reduced.
     polys = [f for f in F.polys if not f.is_zero()]
-    elim = _Elimination(polys, d, F.ring.modulus.p, None)
-    basis = _extract_reduced_basis(elim, F.ring.modulus)
+    basis = _extract_reduced_basis(_elimination(F, d), F.ring.modulus)
     for i in range(len(basis)):
         for j in range(i):
             lcm = basis[i].leading_monomial.lcm(basis[j].leading_monomial)
@@ -268,9 +301,11 @@ def test_homogeneous_system_feeds_only_its_products():
 
 
 def test_deadline_holds_in_basis_extraction(monkeypatch):
-    # The clock runs out once the last flush has passed its check, so only
-    # the back-substitution of the kept rows is left.  It checks the
-    # deadline before each block; certification would not.
+    # The clock runs out once the closure has fed its last block, so only
+    # the read-back of the kept rows is left: the cascade of the known
+    # rows and the back-substitution of the kept Schur slots both check
+    # the deadline before each block.  Certification checks it too, but
+    # must not be reached.
     clock = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: clock[0])
     close = _Elimination._close
@@ -279,10 +314,51 @@ def test_deadline_holds_in_basis_extraction(monkeypatch):
         close(self)
         clock[0] = 1e9
 
+    def certify(*args, **kwargs):
+        raise AssertionError("the extraction did not check the deadline")
+
     monkeypatch.setattr(_Elimination, "_close", close_then_expire)
+    monkeypatch.setattr(macaulay, "is_groebner_basis", certify)
     with pytest.raises(SolveTimeout, match="at degree 14") as exc:
         solve(pair_product_system(), timeout=10)
     assert [t.degree for t in exc.value.trace] == [14]
+
+
+def test_deadline_holds_in_certification(monkeypatch):
+    # The clock runs out once the basis is extracted: the S-pair division
+    # of certification checks the deadline before each pair.
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    extract = macaulay._extract_reduced_basis
+
+    def extract_then_expire(elim, fld):
+        basis = extract(elim, fld)
+        clock[0] = 1e9
+        return basis
+
+    monkeypatch.setattr(macaulay, "_extract_reduced_basis",
+                        extract_then_expire)
+    with pytest.raises(SolveTimeout, match="at degree 4") as exc:
+        solve(gap_quartic_system(), timeout=10)
+    assert [t.degree for t in exc.value.trace] == [4]
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_solve_scales_inputs_to_unit_leads(p, split_every_degree):
+    # The known pivot rows must lead with 1: solve makes its inputs monic.
+    # Scaling each input by a non-unit constant changes neither the basis
+    # nor any degree's rank.  (Without it, small-solve system 13 came out
+    # as the basis {1}.)
+    F = (oracle_corpus()[13] if p == 7
+         else random_system(p, 3, [2, 2, 3], seed=1))
+    assert F.ring.modulus.p == p and len(buchberger_oracle(F)) > 1
+    rng = random.Random(p)
+    G = PolySystem(F.ring, tuple(f * rng.randrange(2, p) for f in F.polys))
+    assert any(f.leading_coefficient.value != 1 for f in G.polys)
+    want, got = solve(F), solve(G)
+    assert got.basis == want.basis == tuple(buchberger_oracle(F))
+    assert ([(t.degree, t.rank) for t in got.trace]
+            == [(t.degree, t.rank) for t in want.trace])
 
 
 def test_solve_determinism_byte_identical():
