@@ -47,8 +47,8 @@ from .macaulay import _check_deadline, solve
 from .poly import (
     MonomialIndex,
     PolySystem,
+    degree_keys,
     homogenize_system,
-    monomial_keys_up_to,
     term_arrays,
     top_system,
 )
@@ -86,25 +86,6 @@ class AnalysisReport:
 def _require_homogeneous(F: PolySystem) -> None:
     if not F.is_homogeneous:
         raise NotHomogeneous("system must be homogeneous")
-
-
-def _extra_rows_pay(nrows: int, ncols: int, nfree: int, nnz: int,
-                    extra: int, extra_nnz: int) -> bool:
-    """Do `extra` more known pivot rows, with `extra_nnz` terms in all,
-    pay for themselves in a block of `ncols` columns whose known pivot
-    rows hold `nnz` terms, leaving `nfree` other columns for `nrows`
-    Schur rows?
-
-    Decided from these counts alone, before any arithmetic, by the cost
-    nfree * (nnz + nrows * ncols): the back-substitution takes at most
-    one row of X, nfree wide, per term of a known pivot row, and each
-    Schur row at most its product with X, npiv * nfree, plus its
-    elimination, at most nfree^2.  Extra rows shrink nfree, but a wide
-    one adds more terms than a free column saves.
-    """
-    def cost(nfree, nnz):
-        return nfree * (nnz + nrows * ncols)
-    return cost(nfree - extra, nnz + extra_nnz) < cost(nfree, nnz)
 
 
 def _found_rows(eng: RowReducer, free: np.ndarray,
@@ -149,8 +130,8 @@ class _RankPass:
     3. Take more known pivot rows from degree d - 1 (_extra_rows): the
        Schur pivot rows s it found, and its own extra rows, times a
        variable.  Each degree-d monomial that no product leads, but some
-       x_i*LM(s) equals, gets one row x_i*s, when the counts say these
-       rows pay (_extra_rows_pay).
+       x_i*LM(s) equals, gets one row x_i*s, from the s with the fewest
+       terms.
     4. Back-substitute the known pivot rows, over their terms, to [I | X]
        on (pivot columns | the other columns).
     5. Write each degree-d input and each other product as (C | D) on the
@@ -235,27 +216,25 @@ class _RankPass:
             self.ranks.append(self._degree_rank(e, deadline))
         return self.ranks[d]
 
-    def _extra_rows(self, d: int, index: MonomialIndex, cols: np.ndarray,
-                    pivots: np.ndarray, known: np.ndarray) -> tuple | None:
+    def _extra_rows(self, d: int, index: MonomialIndex,
+                    pivots: np.ndarray) -> tuple | None:
         """The extra known pivot rows x_i*s of degree d, in the CSR form
-        of _found_rows, or None if there are none or they do not pay.
+        of _found_rows, or None if there are none.
 
         s runs over the rows self.found at degree d - 1.  Each degree-d
-        monomial outside `pivots`, the leads of the known product rows
-        `known` of the padded product rows `cols`, that some x_i*LM(s)
-        equals gets one row, from the s with the fewest terms.
+        monomial outside `pivots`, the leads of the known product rows,
+        that some x_i*LM(s) equals gets one row, from the s with the
+        fewest terms.
         """
-        n, ncols = self.n, comb(self.n + d - 1, d)
-        if self.found is None or len(pivots) == ncols:
+        if self.found is None or len(pivots) == comb(self.n + d - 1, d):
             return None
         leads, offsets, found_cols, vals = self.found
         if not len(leads):
             return None
         widths = np.diff(offsets)
         # times[i, c]: the column of x_i times degree-(d-1) column c.
-        prev = comb(n + d - 2, d - 1)
-        times = index.product_positions(monomial_keys_up_to(n, d - 1)[:prev],
-                                        monomial_keys_up_to(n, 1)[:n])
+        times = index.product_positions(degree_keys(self.n, d - 1),
+                                        degree_keys(self.n, 1))
         # Candidate k is x_i * (row j), k = i * len(leads) + j.
         cand = times[:, leads].ravel()
         uncovered = np.ones(index.size, dtype=bool)
@@ -266,10 +245,7 @@ class _RankPass:
         first = np.diff(lead, prepend=-1) != 0
         var, row = np.divmod(k[first], len(leads))
         lead, w = lead[first], widths[row]
-        if not len(lead) or not _extra_rows_pay(
-                len(cols) - len(known), ncols, ncols - len(pivots),
-                int(np.count_nonzero(cols[known] < ncols)), len(lead),
-                int(w.sum())):
+        if not len(lead):
             return None
         terms = _ranges(offsets[row], w)
         return (lead, np.concatenate([[0], np.cumsum(w)]),
@@ -286,20 +262,17 @@ class _RankPass:
             return 0
         nin = len(inputs)
         ncols = comb(n + d - 1, d)
-        # Degree-d monomials lead monomials_up_to(n, d), so the rows'
-        # positions in it are their columns in this block.
+        # Degree-d monomials lead the columns of MonomialIndex(n, d), so
+        # the rows' positions in it are their columns in this block.
         index = MonomialIndex(n, d)
-        # The multipliers of degree k = d - e, descending: the head of
-        # monomials_up_to(n, k).
+        # The multipliers of degree d - e, descending.
         cols, coeffs = product_rows(
-            [(index.product_positions(keys, monomial_keys_up_to(n, d - e)[
-                :comb(n + d - e - 1, d - e)]), coeffs)
+            [(index.product_positions(keys, degree_keys(n, d - e)), coeffs)
              for e, keys, coeffs in inputs + self.gens], ncols)
         # The inputs are not monic, so only products are known (step 2).
         split = KnownPivotSplit(
             self.p, ncols, cols, coeffs, nin,
-            lambda pivots, known: self._extra_rows(d, index, cols, pivots,
-                                                   known),
+            lambda pivots: self._extra_rows(d, index, pivots),
             lambda: _check_deadline(deadline))
         # Step 5: the inputs are the first nin rows, none of them known.
         # With no free column, both feeds return at once.
@@ -307,14 +280,11 @@ class _RankPass:
         eng = split.reducer
         ngens = eng.rank
         split.feed(cols, coeffs, split.others[nin:])
-        # Only an input degree has generators; the keys of every degree-d
-        # monomial cost the monomials themselves (poly.monomials_up_to).
-        if ngens:
-            keys = monomial_keys_up_to(n, d)
-            for row in eng.stored_rows()[:ngens]:
-                at = np.flatnonzero(row)
-                self.gens.append((d, keys[split.free[at]],
-                                  row[at].astype(np.int64)))
+        keys = degree_keys(n, d)
+        for row in eng.stored_rows()[:ngens]:
+            at = np.flatnonzero(row)
+            self.gens.append((d, keys[split.free[at]],
+                              row[at].astype(np.int64)))
         self.found = (_found_rows(eng, split.free, split.extra)
                       if eng.rank < split.nfree else None)
         return split.npiv + eng.rank

@@ -476,10 +476,9 @@ class KnownPivotSplit:
     1. The rows are (cols, coeffs) from product_rows, padded with column
        ncols; a row's first column is its lead.
     2. One row per distinct lead, among the rows from `first` on, is a
-       known pivot row.  `extra(pivots, known)`, if given, is called with
-       their leads and row indices, and may return more known pivot rows
-       in CSR form (leads, offsets, columns, coefficients), led by
-       columns no row leads.
+       known pivot row.  `extra(pivots)`, if given, is called with their
+       leads, and may return more known pivot rows in CSR form (leads,
+       offsets, columns, coefficients), led by columns no row leads.
     3. The known pivot rows, sorted by lead, form [T | N] on (pivot
        columns | free columns), with T unit upper triangular mod p, since
        every lead is 1 mod p and every other term lies at a later
@@ -508,10 +507,10 @@ class KnownPivotSplit:
 
     def __init__(self, p: int, ncols: int, cols: np.ndarray,
                  coeffs: np.ndarray, first: int = 0,
-                 extra=lambda pivots, known: None, before_block=lambda: None):
+                 extra=lambda pivots: None, before_block=lambda: None):
         pivots, known = np.unique(cols[first:, 0], return_index=True)
         known += first
-        self.extra = extra(pivots, known)
+        self.extra = extra(pivots)
         if self.extra is not None:
             pivots = np.sort(np.concatenate([pivots, self.extra[0]]))
         self.p, self.pivots, self.before_block = p, pivots, before_block
@@ -563,12 +562,3 @@ class KnownPivotSplit:
             slots.extend(self.reducer.add_rows(S[:, :self.nfree]))
         return slots + [None] * (len(rows) - len(slots))
 
-
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix mod p (exact)."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    eng = RowReducer(p, M.shape[1])
-    eng.add_rows(M)
-    return eng.rank

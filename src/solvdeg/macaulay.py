@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .poly import (
     MonomialIndex,
     PolySystem,
     Polynomial,
+    degree_keys,
     monomial_keys_up_to,
     monomials_up_to,
     term_arrays,
@@ -101,12 +101,6 @@ class SolveReport:
     max_gb_degree: int
     trace: tuple[DegreeTrace, ...]
     stop_reason: str
-
-
-def _ascending_keys(n: int, k: int) -> np.ndarray:
-    """Keys of the monomials of degree k in ascending degrevlex."""
-    # monomials_up_to(n, k) starts with the degree-k ones, descending.
-    return monomial_keys_up_to(n, k)[comb(n + k - 1, k) - 1::-1]
 
 
 # A degree with at most this many products takes none as known pivots:
@@ -199,8 +193,10 @@ class _Elimination:
         self.n = n = inputs[0][1].shape[1]
         self.index = MonomialIndex(n, d)
         self.keys = monomial_keys_up_to(n, d)
+        # Products by ascending degree, and within one by ascending
+        # multiplier.
         parts = [(self.index.product_positions(
-                      keys, _ascending_keys(n, e - deg)), coeffs)
+                      keys, degree_keys(n, e - deg)[::-1]), coeffs)
                  for e in range(min(deg for deg, _, _ in inputs), d + 1)
                  for deg, keys, coeffs in inputs if deg <= e]
         cols, coeffs = product_rows(parts, self.index.size)
@@ -234,7 +230,7 @@ class _Elimination:
     def _close(self) -> None:
         engine, visited = self.split.reducer, 0  # slots in order of appearance
         free_keys = self.keys[self.split.free]
-        variables = _ascending_keys(self.n, 1)
+        variables = degree_keys(self.n, 1)[::-1]
         while visited < engine.rank:
             start, visited = visited, engine.rank
             parts = []

@@ -4,13 +4,17 @@ Exponent vectors are dense tuples.  Polynomial terms are kept sorted in
 strictly descending degrevlex order so leading-term queries are O(1);
 addition merges sorted term lists.  The homogenization variable, when
 introduced, is always appended as the degrevlex-least variable, which is
-what makes saturation by it readable off a Groebner basis.  Column
-positions of monomials in the Macaulay matrices come from MonomialIndex.
+what makes saturation by it readable off a Groebner basis.
+
+The column order of the Macaulay matrices lives here alone, as two
+inverse maps: degree_keys enumerates the monomials of one degree in
+descending degrevlex, as integer keys, and MonomialIndex turns a key
+back into its position.  monomials_of_degree, monomials_up_to and
+monomial_keys_up_to are all read off degree_keys.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -77,19 +81,34 @@ class Monomial:
         ) or "1"
 
 
+@lru_cache(maxsize=128)
+def degree_keys(n: int, d: int) -> np.ndarray:
+    """Keys of the degree-d monomials in n variables, descending degrevlex
+    (a read-only array, one row per monomial; see monomial_keys).
+
+    Of two monomials of one degree, the larger in degrevlex is the one
+    whose key is larger at the last entry where the keys differ, so the
+    keys are built from the last entry to the first, each descending
+    within the entries after it: R_{n-1} = d, then each R_i runs from
+    R_{i+1} down to 0.  MonomialIndex(n, d) ranks them 0, 1, 2, ...
+    """
+    keys = np.full((1, n), d, dtype=np.int64)
+    for i in range(n - 2, -1, -1):
+        top = keys[:, i + 1]
+        counts = top + 1
+        starts = np.cumsum(counts) - counts
+        keys = np.repeat(keys, counts, axis=0)
+        # Row starts[j] + t of the new array, 0 <= t <= top[j], gets
+        # R_i = top[j] - t.
+        keys[:, i] = np.repeat(top + starts, counts) - np.arange(len(keys))
+    keys.setflags(write=False)
+    return keys
+
+
 def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     """All degree-d monomials in n variables, descending degrevlex."""
-    out = []
-    for bars in itertools.combinations(range(d + n - 1), n - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 2 - prev)
-        out.append(Monomial(tuple(exps)))
-    out.sort(key=Monomial.sort_key, reverse=True)
-    return out
+    exps = np.diff(degree_keys(n, d), axis=1, prepend=0)
+    return [Monomial(tuple(e)) for e in exps.tolist()]
 
 
 @lru_cache(maxsize=128)
@@ -120,7 +139,7 @@ def term_arrays(f: "Polynomial") -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=128)
 def monomial_keys_up_to(n: int, d: int) -> np.ndarray:
     """Keys of monomials_up_to(n, d), row for row (a read-only array)."""
-    keys = monomial_keys(monomials_up_to(n, d))
+    keys = np.concatenate([degree_keys(n, e) for e in range(d, -1, -1)])
     keys.setflags(write=False)
     return keys
 
@@ -128,13 +147,13 @@ def monomial_keys_up_to(n: int, d: int) -> np.ndarray:
 class MonomialIndex:
     """Degrevlex positions of the monomials of degree <= d in n variables.
 
-    The position of the monomial with key R in monomials_up_to(n, d) is
+    The position of the monomial with key R in monomial_keys_up_to(n, d) is
 
         C(n + d, n) - 1 - sum_{i < n} C(R_i + i, i + 1),
 
     its rank in the combinatorial number system.  That list starts with
     the degree-d monomials, so for them the position is also the index in
-    monomials_of_degree(n, d).  The binomials come from one flattened
+    degree_keys(n, d).  The binomials come from one flattened
     table with d + 1 entries per variable, and R_{n-1}, the degree, falls
     in the last stretch: a key of degree above d indexes past the table
     and raises IndexError instead of landing in a wrong column.

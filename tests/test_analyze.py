@@ -30,7 +30,7 @@ from solvdeg import (
 )
 from solvdeg import analyze
 from solvdeg.analyze import _rank_pass
-from solvdeg.linalg import _back_substitute, rank_mod_p
+from solvdeg.linalg import RowReducer, _back_substitute
 from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
 from solvdeg.presets import gap_quartic_system
@@ -116,14 +116,16 @@ def _explicit_block(F, d):
 
 def _block_rank(F, d):
     """Rank of the explicit block: the pure-Python oracle when small,
-    else rank_mod_p over the whole block at once."""
+    else a RowReducer fed the whole block in one add_rows call."""
     rows = _explicit_block(F, d)
     p = F.ring.modulus.p
     if not rows:
         return 0
     if len(rows) * len(rows[0]) <= 20_000:
         return oracle_rank(rows, p)
-    return rank_mod_p(np.array(rows, dtype=np.int64), p)
+    eng = RowReducer(p, len(rows[0]))
+    eng.add_rows(np.array(rows, dtype=np.int64))
+    return eng.rank
 
 
 def _echelon_leads(F, d):
@@ -143,23 +145,26 @@ def _echelon_leads(F, d):
 
 
 @pytest.fixture
-def extra_row_decisions(monkeypatch):
-    """The answers of the extra-row rule, in order, from cold rank caches."""
-    decisions = []
-    rule = analyze._extra_rows_pay
+def extra_row_degrees(monkeypatch):
+    """The degrees at which a rank pass takes extra rows, in order, from
+    cold rank caches."""
+    degrees = []
+    extra_rows = analyze._RankPass._extra_rows
 
-    def spy(*counts):
-        decisions.append(rule(*counts))
-        return decisions[-1]
+    def spy(self, d, *args):
+        rows = extra_rows(self, d, *args)
+        if rows is not None:
+            degrees.append(d)
+        return rows
 
-    monkeypatch.setattr(analyze, "_extra_rows_pay", spy)
+    monkeypatch.setattr(analyze._RankPass, "_extra_rows", spy)
     _rank_pass.cache_clear()
-    return decisions
+    return degrees
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_graded_rank_mixed_degrees_with_colliding_leads(p,
-                                                        extra_row_decisions):
+                                                        extra_row_degrees):
     # Degrees 2, 3 and 4 in 4 variables: a multiple of a degree-2 lead is
     # also a multiple of a degree-3 or degree-4 lead, so the known pivot
     # rows must pick one row per lead column across the degree groups,
@@ -172,7 +177,7 @@ def test_graded_rank_mixed_degrees_with_colliding_leads(p,
                for l2 in leads[2] for e in (3, 4) for lh in leads[e])
     for d in range(9):
         assert _rank_pass(F).rank(d) == _block_rank(F, d), d
-    assert True in extra_row_decisions
+    assert extra_row_degrees
     # x0*x2^2 = x0*(x0*x1 + x2^2) - x1*x0^2 is the Schur row of a product
     # at degree 3, and the cubic's Schur row is x0*x2^2 + x3^3.  Fed in
     # one add_rows call with that product, the cubic would leave the
@@ -207,23 +212,22 @@ def test_graded_rank_redundant_and_degenerate_inputs(p):
     assert _rank_pass(PolySystem(F.ring, (F.ring.zero(),))).rank(3) == 0
 
 
-@pytest.mark.parametrize("n, m, p, sides", [
-    pytest.param(6, 8, 2, {True}, id="6-2"),
-    pytest.param(7, 9, 7, {True}, id="7-7"),
-    pytest.param(8, 10, 7919, {True}, id="8-7919"),
-    pytest.param(6, 8, 2**31 - 1, {True}, id="6-2147483647"),
-    pytest.param(6, 4, 7, {True}, id="6-4-7"),
-    pytest.param(7, 2, 2**31 - 1, {False, True}, id="7-2-2147483647"),
+@pytest.mark.parametrize("n, m, p", [
+    pytest.param(6, 8, 2, id="6-2"),
+    pytest.param(7, 9, 7, id="7-7"),
+    pytest.param(8, 10, 7919, id="8-7919"),
+    pytest.param(6, 8, 2**31 - 1, id="6-2147483647"),
+    pytest.param(6, 4, 7, id="6-4-7"),
+    pytest.param(7, 2, 2**31 - 1, id="7-2-2147483647"),
 ])
-def test_graded_rank_schur_complement_full_and_deficient(n, m, p, sides,
-                                                         extra_row_decisions):
+def test_graded_rank_schur_complement_full_and_deficient(n, m, p,
+                                                         extra_row_degrees):
     # Random quadrics.  With m = n + 2, below the degree of regularity the
     # Schur complement is rank deficient, at and above it the rank fills
     # every column, including the columns no known pivot covers.  With
-    # m < n it stays deficient.  `sides` are the answers the extra-row
-    # rule gives on the way: two quadrics in 7 variables take no extra
-    # rows at d = 4 and 5, where the Schur rows are few (7 and 28) and
-    # the extra rows wide, and take them at d = 6.
+    # m < n it stays deficient.  Extra rows come in at every degree from
+    # 4 on: at d = 3, x_i times a generator s of degree 2 is a product,
+    # so it leads no column that a product does not.
     F = random_system(p, n, [2] * m, seed=80 + n, homogeneous=True)
     seen = set()
     for d in range(2, 7):
@@ -236,7 +240,7 @@ def test_graded_rank_schur_complement_full_and_deficient(n, m, p, sides,
         if rank == ncols and len(seen) == 2:
             break
     assert seen == ({False, True} if m > n else {False})
-    assert set(extra_row_decisions) == sides
+    assert extra_row_degrees == list(range(4, d + 1))
     # One call for one degree, from cold caches, computes the degrees
     # below it in a loop: past the first full degree the rank is the
     # column count, and below it the block's rank.

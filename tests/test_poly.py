@@ -1,7 +1,9 @@
 """Monomial order, polynomial structure, and homogenization."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from solvdeg import (
@@ -20,7 +22,7 @@ from solvdeg import (
     monomials_up_to,
     top_part,
 )
-from solvdeg.poly import MonomialIndex, monomial_keys
+from solvdeg.poly import MonomialIndex, degree_keys, monomial_keys
 from solvdeg.randsys import random_polynomial
 
 
@@ -83,6 +85,18 @@ def test_order_refines_degree():
                     assert key_cmp(a, b) == 1
 
 
+def _oracle_degree(n, d):
+    """The degree-d monomials by brute force: one per multiset of d
+    variables, sorted descending by Monomial.sort_key."""
+    monos = []
+    for chosen in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in chosen:
+            exps[i] += 1
+        monos.append(Monomial(tuple(exps)))
+    return sorted(monos, key=Monomial.sort_key, reverse=True)
+
+
 def test_monomials_up_to_counts():
     from math import comb
 
@@ -93,12 +107,25 @@ def test_monomials_up_to_counts():
             # strictly descending
             for a, b in zip(ms, ms[1:]):
                 assert key_cmp(a, b) == 1
+    for n, d in [(1, 0), (1, 5), (10, 6), (12, 5), (3, 18), (32, 3)]:
+        oracle = _oracle_degree(n, d)
+        keys = degree_keys(n, d)
+        assert not keys.flags.writeable
+        assert keys.tolist() == monomial_keys(oracle).tolist()
+        assert monomials_of_degree(n, d) == oracle
+        assert _key_ranks(MonomialIndex(n, d), keys) == list(range(len(keys)))
+
+
+def _key_ranks(index, keys):
+    """Positions of the keys under index, as products with the unit
+    monomial."""
+    one = np.zeros((1, index.n), dtype=np.int64)
+    return index.product_positions(keys, one)[0].tolist()
 
 
 def _ranks(index, monos):
-    """Positions of monos under index, as products with the unit monomial."""
-    one = monomial_keys([Monomial((0,) * index.n)])
-    return index.product_positions(monomial_keys(monos), one)[0].tolist()
+    """Positions of monos under index."""
+    return _key_ranks(index, monomial_keys(monos))
 
 
 @pytest.mark.parametrize("n, d", [(1, 4), (2, 6), (3, 18), (6, 4), (6, 5),
@@ -110,6 +137,7 @@ def test_monomial_index_matches_enumeration(n, d):
     assert _ranks(index, up_to) == list(range(len(up_to)))
     graded = monomials_of_degree(n, d)
     assert _ranks(index, graded) == list(range(len(graded)))
+    assert _key_ranks(index, degree_keys(n, d)) == list(range(len(graded)))
 
 
 def test_monomial_index_products():
