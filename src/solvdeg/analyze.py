@@ -24,17 +24,15 @@ of the homogenized basis of solve(F), the one solve that analyze_system
 shares with max_groebner_degree.  The Groebner route it replaces (solve
 F^h, strip powers of t, divide) survives only as a test oracle.
 
-analyze_system(timeout=) holds one deadline for the whole call: the
-Hilbert-function loops check it between degrees and the rank pass
-before each block of Schur rows, with the same check
-(macaulay._check_deadline) that solve uses, and the solve gets the time
-left.
+analyze_system(timeout=) and t_nonzerodivisor(timeout=) run the whole
+call in one deadline scope (deadline.deadline_after), and the solve runs
+under the same deadline.  hilbert_function checks it before each value,
+and the rank pass before each degree and each block of Schur rows.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -42,8 +40,9 @@ from math import comb
 import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound, semiregular_series
+from .deadline import check_deadline, deadline_after
 from .linalg import KnownPivotSplit, RowReducer, _ranges, product_rows
-from .macaulay import _check_deadline, solve
+from .macaulay import solve
 from .poly import (
     MonomialIndex,
     PolySystem,
@@ -203,7 +202,7 @@ class _RankPass:
         self.gens: list = []
         self.found: tuple | None = None
 
-    def rank(self, d: int, deadline: float | None = None) -> int:
+    def rank(self, d: int) -> int:
         """The rank at degree d, after every degree below it, checking the
         deadline before each degree and each block of Schur rows.  A
         degree that the deadline interrupts records nothing."""
@@ -212,24 +211,26 @@ class _RankPass:
             if e and self.ranks[-1] == comb(self.n + e - 2, e - 1):
                 # I_e contains R_1 I_{e-1}: every later degree is full.
                 return comb(self.n + d - 1, d)
-            _check_deadline(deadline)
-            self.ranks.append(self._degree_rank(e, deadline))
+            check_deadline()
+            self.ranks.append(self._degree_rank(e))
         return self.ranks[d]
 
     def _extra_rows(self, d: int, index: MonomialIndex,
-                    pivots: np.ndarray) -> tuple | None:
+                    covered: np.ndarray) -> tuple | None:
         """The extra known pivot rows x_i*s of degree d, in the CSR form
         of _found_rows, or None if there are none.
 
         s runs over the rows self.found at degree d - 1.  Each degree-d
-        monomial outside `pivots`, the leads of the known product rows,
-        that some x_i*LM(s) equals gets one row, from the s with the
-        fewest terms.
+        monomial outside `covered`, the leads of the products that may be
+        known pivot rows, that some x_i*LM(s) equals gets one row, from
+        the s with the fewest terms.
         """
-        if self.found is None or len(pivots) == comb(self.n + d - 1, d):
+        if self.found is None:
             return None
+        uncovered = np.ones(comb(self.n + d - 1, d), dtype=bool)
+        uncovered[covered] = False
         leads, offsets, found_cols, vals = self.found
-        if not len(leads):
+        if not (len(leads) and uncovered.any()):
             return None
         widths = np.diff(offsets)
         # times[i, c]: the column of x_i times degree-(d-1) column c.
@@ -237,8 +238,6 @@ class _RankPass:
                                         degree_keys(self.n, 1))
         # Candidate k is x_i * (row j), k = i * len(leads) + j.
         cand = times[:, leads].ravel()
-        uncovered = np.ones(index.size, dtype=bool)
-        uncovered[pivots] = False
         k = np.flatnonzero(uncovered[cand])
         k = k[np.lexsort((widths[k % len(leads)], cand[k]))]
         lead = cand[k]
@@ -251,7 +250,7 @@ class _RankPass:
         return (lead, np.concatenate([[0], np.cumsum(w)]),
                 times[np.repeat(var, w), found_cols[terms]], vals[terms])
 
-    def _degree_rank(self, d: int, deadline: float | None) -> int:
+    def _degree_rank(self, d: int) -> int:
         """The rank at degree d, given what degree d - 1 found; self.gens
         and self.found change only once the degree is done."""
         n = self.n
@@ -270,10 +269,8 @@ class _RankPass:
             [(index.product_positions(keys, degree_keys(n, d - e)), coeffs)
              for e, keys, coeffs in inputs + self.gens], ncols)
         # The inputs are not monic, so only products are known (step 2).
-        split = KnownPivotSplit(
-            self.p, ncols, cols, coeffs, nin,
-            lambda pivots: self._extra_rows(d, index, pivots),
-            lambda: _check_deadline(deadline))
+        split = KnownPivotSplit(self.p, ncols, cols, coeffs, nin,
+                                self._extra_rows(d, index, cols[nin:, 0]))
         # Step 5: the inputs are the first nin rows, none of them known.
         # With no free column, both feeds return at once.
         split.feed(cols, coeffs, split.others[:nin])
@@ -296,39 +293,24 @@ def _rank_pass(F: PolySystem) -> _RankPass:
     return _RankPass(F)
 
 
-def hilbert_function(F: PolySystem, d: int, *,
-                     deadline: float | None = None) -> int:
+def hilbert_function(F: PolySystem, d: int) -> int:
     """dim (R/I)_d for a homogeneous system, by rank computation: the
-    rank of I_d from F's _RankPass.  With `deadline`, a time.monotonic()
-    value, SolveTimeout is raised once it is reached, before any degree
-    or block of the rank pass."""
+    rank of I_d from F's _RankPass.  Once the deadline of the enclosing
+    scope is reached, SolveTimeout is raised before the value, even one
+    the pass has kept, and before any degree or block of the rank pass."""
     rank_pass = _rank_pass(F)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return comb(F.ring.n + d - 1, d) - rank_pass.rank(d, deadline)
+    check_deadline()
+    return comb(F.ring.n + d - 1, d) - rank_pass.rank(d)
 
 
 def hilbert_function_profile(F: PolySystem, dmax: int) -> tuple[int, ...]:
     """Hilbert function values for d = 0..dmax."""
-    return tuple(_hilbert_values(F, range(dmax + 1), None))
+    return tuple(hilbert_function(F, d) for d in range(dmax + 1))
 
 
-def _remaining(deadline: float | None) -> float | None:
-    """Seconds left before the deadline; raises once it is reached."""
-    _check_deadline(deadline)
-    return None if deadline is None else deadline - time.monotonic()
-
-
-def _hilbert_values(F: PolySystem, degrees, deadline: float | None):
-    """hilbert_function(F, d) for d in degrees, checking the deadline
-    before each degree, and inside the rank pass."""
-    for d in degrees:
-        _check_deadline(deadline)
-        yield hilbert_function(F, d, deadline=deadline)
-
-
-def _hilbert_walk(F: PolySystem,
-                  deadline: float | None) -> tuple[int, ...]:
+def _hilbert_walk(F: PolySystem) -> tuple[int, ...]:
     """HF(F, 0), HF(F, 1), ... through the first zero.
 
     If no degree fills up, the walk ends at the Macaulay bound (3 * the
@@ -344,7 +326,8 @@ def _hilbert_walk(F: PolySystem,
     except Underdetermined:
         cap = 3 * max(F.degrees, default=0)
     values = []
-    for hf in _hilbert_values(F, range(max(cap, 0) + 1), deadline):
+    for d in range(max(cap, 0) + 1):
+        hf = hilbert_function(F, d)
         values.append(hf)
         if hf == 0:
             return tuple(values)
@@ -370,7 +353,7 @@ def degree_of_regularity(F: PolySystem) -> float:
 def is_artinian(F: PolySystem) -> tuple[bool, int | None]:
     """Does some graded piece fill up?  (True, the least such degree), or
     (False, None) if none does within the Macaulay bound."""
-    walk = _hilbert_walk(F, None)
+    walk = _hilbert_walk(F)
     return (True, len(walk) - 1) if walk[-1] == 0 else (False, None)
 
 
@@ -385,7 +368,7 @@ def regularity_from_hilbert(F: PolySystem) -> int:
 # -- semi-regularity ---------------------------------------------------------------
 
 
-def _crypto_test(F: PolySystem, deadline: float | None) -> bool:
+def _crypto_test(F: PolySystem) -> bool:
     """Hilbert function against the truncated series prediction.
 
     The prediction is the series' initial positive run followed by one
@@ -401,7 +384,7 @@ def _crypto_test(F: PolySystem, deadline: float | None) -> bool:
         return True
     cap = sum(d - 1 for d in degrees) + 1
     predicted = semiregular_series(F.ring.n, degrees).coeffs + (0,)
-    values = _hilbert_values(F, range(cap + 1), deadline)
+    values = (hilbert_function(F, d) for d in range(cap + 1))
     # The prediction goes first: once it runs out, zip stops without
     # computing one more Hilbert value.
     return all(want == got for want, got in zip(predicted, values))
@@ -415,21 +398,16 @@ def semiregular_test(F: PolySystem, mode: str = "crypto") -> bool:
     match its own prediction (the stronger, order-dependent notion).
     mode="inhomogeneous": homogenize first, then run the crypto test.
     """
-    return _semiregular_test(F, mode, None)
-
-
-def _semiregular_test(F: PolySystem, mode: str,
-                      deadline: float | None) -> bool:
     if mode == "crypto":
-        return _crypto_test(F, deadline)
+        return _crypto_test(F)
     if mode == "pardue_prefix":
         _require_homogeneous(F)
         polys = F.nonzero()
         # Longest first: F itself, whose rank pass is likely still cached.
-        return all(_crypto_test(PolySystem(F.ring, polys[:ell]), deadline)
+        return all(_crypto_test(PolySystem(F.ring, polys[:ell]))
                    for ell in range(len(polys), 0, -1))
     if mode == "inhomogeneous":
-        return _crypto_test(homogenize_system(F), deadline)
+        return _crypto_test(homogenize_system(F))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -439,24 +417,23 @@ def _semiregular_test(F: PolySystem, mode: str,
 def t_nonzerodivisor(F: PolySystem, *, timeout: float | None = None) -> bool:
     """Is the homogenization variable t a nonzerodivisor mod (F^h)?
 
-    One solve(F), then _t_nonzerodivisor on its basis; `timeout` bounds
-    both.
+    One solve(F), then _t_nonzerodivisor on its basis, both in one
+    deadline_after(timeout) scope.
     """
     if F.is_homogeneous:
         raise HomogeneousInput("the test concerns inhomogeneous systems")
-    deadline = None if timeout is None else time.monotonic() + timeout
-    return _t_nonzerodivisor(F, solve(F, timeout=timeout).basis, deadline)
+    with deadline_after(timeout):
+        return _t_nonzerodivisor(F, solve(F).basis)
 
 
-def _t_nonzerodivisor(F: PolySystem, basis: tuple,
-                      deadline: float | None) -> bool:
+def _t_nonzerodivisor(F: PolySystem, basis: tuple) -> bool:
     """Is t a nonzerodivisor mod (F^h), given the reduced degrevlex basis
     G = `basis` of I = (F)?
 
     Let D be the largest degree in G.  t is a nonzerodivisor mod (F^h)
     if and only if HF(F^h, d) = HF(G^h, d) for every d <= D.  The two
     Hilbert functions are compared degree by degree, up to the first
-    difference, and the deadline is checked before each degree.
+    difference.
 
     Proof.  (F^h) is contained in I^h = (F^h) : t^inf, and I^h is
     generated by G^h (Cox, Little, O'Shea, Ideals, Varieties, and
@@ -469,9 +446,8 @@ def _t_nonzerodivisor(F: PolySystem, basis: tuple,
     """
     H = homogenize_system(F)
     GH = homogenize_system(PolySystem(F.ring, tuple(basis)))
-    degrees = range(max(g.degree for g in basis) + 1)
-    return all(a == b for a, b in zip(_hilbert_values(H, degrees, deadline),
-                                      _hilbert_values(GH, degrees, deadline)))
+    return all(hilbert_function(H, d) == hilbert_function(GH, d)
+               for d in range(max(g.degree for g in basis) + 1))
 
 
 def max_groebner_degree(F: PolySystem, *, timeout: float | None = None) -> int:
@@ -495,23 +471,21 @@ def analyze_system(F: PolySystem, *, include_groebner: bool = True,
     t_nonzerodivisor test compares with F.  It is skipped only for a
     homogeneous system with include_groebner=False, which needs neither.
 
-    `timeout` bounds the whole call: the Hilbert-function loops check
-    one deadline between degrees and blocks, and the solve gets the time
-    left.
-    Once it is reached, SolveTimeout is raised.
+    The whole call runs in one deadline_after(timeout) scope: the
+    Hilbert-function loops check it between degrees and blocks, and the
+    solve runs under the same deadline.  Once it is reached, SolveTimeout
+    is raised.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
     homogeneous = F.is_homogeneous
-    walk = _hilbert_walk(top_system(F), deadline)
+    with deadline_after(timeout):
+        walk = _hilbert_walk(top_system(F))
+        crypto = semiregular_test(
+            F, "crypto" if homogeneous else "inhomogeneous")
+        pardue = (semiregular_test(F, "pardue_prefix")
+                  if homogeneous else None)
+        rep = (solve(F) if include_groebner or not homogeneous else None)
+        t_nzd = None if homogeneous else _t_nonzerodivisor(F, rep.basis)
     witness = len(walk) - 1 if walk[-1] == 0 else None
-    crypto = _semiregular_test(
-        F, "crypto" if homogeneous else "inhomogeneous", deadline)
-    pardue = (_semiregular_test(F, "pardue_prefix", deadline)
-              if homogeneous else None)
-    rep = (solve(F, timeout=_remaining(deadline))
-           if include_groebner or not homogeneous else None)
-    t_nzd = (None if homogeneous
-             else _t_nonzerodivisor(F, rep.basis, deadline))
     maxgb = rep.max_gb_degree if include_groebner else None
     return AnalysisReport(
         d_reg=math.inf if witness is None else witness,

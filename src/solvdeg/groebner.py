@@ -8,12 +8,17 @@ criteria, selection by smallest lcm, and a final inter-reduction pass.
 Division works on a dict of exponent tuples with a lazy max-heap over the
 term order, so reducing the large dense polynomials the solver produces
 does not re-sort term lists at every step.
+
+The pair loop checks the deadline of the enclosing scope
+(deadline.check_deadline) before each division, which bounds the
+certification that solve runs.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from .deadline import check_deadline
 from .field import FieldElement
 from .poly import Monomial, PolySystem, Polynomial
 
@@ -110,8 +115,7 @@ def _skip_pair(i: int, j: int, lms: list[Monomial],
     return False
 
 
-def _new_elements(basis: list[Polynomial], closed_degree: int = -1,
-                  before_pair=None):
+def _new_elements(basis: list[Polynomial], closed_degree: int = -1):
     """Treat every S-pair of `basis`; yield each element the pairs add.
 
     Pairs are taken by smallest lcm, ties by index, from a heap keyed
@@ -119,8 +123,8 @@ def _new_elements(basis: list[Polynomial], closed_degree: int = -1,
     appended to `basis` (monic), its pairs are queued, and it is yielded.
     Pairs whose lcm has degree <= `closed_degree` are never queued: the
     caller vouches that they reduce to zero, so to the chain criterion
-    they count as treated.  `before_pair`, if given, is called before
-    each pair is divided (solve checks its deadline there).
+    they count as treated.  The deadline is checked before each pair is
+    divided.
     """
     lms = [g.leading_monomial for g in basis]
     pairs: set[tuple[int, int]] = set()
@@ -140,8 +144,7 @@ def _new_elements(basis: list[Polynomial], closed_degree: int = -1,
         pairs.discard((i, j))
         if _skip_pair(i, j, lms, pairs):
             continue
-        if before_pair is not None:
-            before_pair()
+        check_deadline()
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
@@ -186,8 +189,7 @@ def buchberger_oracle(F: PolySystem) -> list[Polynomial]:
 
 def is_groebner_basis(basis: list[Polynomial],
                       generators: list[Polynomial] | None = None,
-                      *, closed_degree: int = -1,
-                      before_pair=None) -> bool:
+                      *, closed_degree: int = -1) -> bool:
     """Verify the Buchberger criterion by explicit division.
 
     The pair loop of the construction runs on the basis and must add
@@ -200,11 +202,11 @@ def is_groebner_basis(basis: list[Polynomial],
     S-pair whose lcm has degree <= d then reduces to zero (the proof is
     in `solve`'s docstring), so only the pairs above d are divided.
     Without it, every pair is divided: the full check that tests use as
-    an oracle.  `before_pair`, if given, is called before each division
-    of a pair; an exception it raises ends the check.
+    an oracle.  Once the deadline of the enclosing scope is reached,
+    SolveTimeout ends the check before the next pair.
     """
     gs = [g for g in basis if not g.is_zero()]
     if generators is not None and any(
             not normal_form(f, gs).is_zero() for f in generators):
         return False
-    return next(_new_elements(gs, closed_degree, before_pair), None) is None
+    return next(_new_elements(gs, closed_degree), None) is None

@@ -30,11 +30,17 @@ pivot rows: npiv + 1 bounds every inner product they enter.
 Float arrays are reduced to symmetric residues, |r| <= p - 1, by one
 rounded multiply (mod_p), which avoids the slow hardware fmod and any
 correction pass; the residues are mapped to [0, p) only when read back.
+
+The loops over blocks (the split's feed, a RowReducer's cascade and its
+read-back) call deadline.check_deadline() before each block, so the
+deadline of the enclosing scope holds inside one elimination.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .deadline import check_deadline
 
 # Every integer of magnitude <= 2^(mantissa bits + 1) is a float of the dtype.
 _FLOAT_EXACT = {np.dtype(t): 2 ** (np.finfo(t).nmant + 1)
@@ -200,7 +206,7 @@ class RowReducer:
         rows.flags.writeable = False
         return rows
 
-    def reduced_rows(self, slots, before_block=None) -> np.ndarray:
+    def reduced_rows(self, slots) -> np.ndarray:
         """The rows of the reduced row echelon form for the given slots,
         one per slot in the order given, residues in [0, p).
 
@@ -212,8 +218,7 @@ class RowReducer:
         makes the rows below each block a prefix of them: one product per
         block.  What is left is the unique row of the space that leads at
         the slot's pivot column with 1 and is zero at every other pivot
-        column.  `before_block`, if given, is called before each block's
-        product (solve uses it to check its deadline).
+        column.  The deadline is checked before each block's product.
         """
         slots = np.asarray(slots, dtype=np.intp)
         order = np.argsort(slots, kind="stable")
@@ -223,8 +228,7 @@ class RowReducer:
             below = int(np.searchsorted(ranked, s))
             if not below:
                 continue
-            if before_block is not None:
-                before_block()
+            check_deadline()
             head = X[:below]
             coeffs = head[:, self._pc_arr[s:e]]
             if np.any(coeffs):
@@ -233,13 +237,12 @@ class RowReducer:
         out[order] = np.mod(X, self.p)
         return out
 
-    def reduce_vector(self, v: np.ndarray, before_block=None) -> np.ndarray:
+    def reduce_vector(self, v: np.ndarray) -> np.ndarray:
         """Normal form of one row, or of each row of a matrix, against the
-        current pivot rows, residues in [0, p).  `before_block`, if given,
-        is called before each block's product."""
+        current pivot rows, residues in [0, p)."""
         w = np.array(v, dtype=self.dtype, ndmin=2)
         mod_p(w, self.p)
-        self._cascade(w, before_block)
+        self._cascade(w)
         return np.mod(w, self.p).reshape(np.shape(v))
 
     # -- feeding -------------------------------------------------------------
@@ -251,11 +254,11 @@ class RowReducer:
             out.extend(self._add_batch(rows[lo : lo + BLOCK_ROWS]))
         return out
 
-    def _cascade(self, B: np.ndarray, before_block=None) -> None:
-        """Clear every existing pivot column from the rows of B, in place."""
+    def _cascade(self, B: np.ndarray) -> None:
+        """Clear every existing pivot column from the rows of B, in place,
+        checking the deadline before each block."""
         for s, e in self._blocks:
-            if before_block is not None:
-                before_block()
+            check_deadline()
             cols = self._pc_arr[s:e]
             coeffs = B[:, cols]
             if np.any(coeffs):
@@ -476,9 +479,9 @@ class KnownPivotSplit:
     1. The rows are (cols, coeffs) from product_rows, padded with column
        ncols; a row's first column is its lead.
     2. One row per distinct lead, among the rows from `first` on, is a
-       known pivot row.  `extra(pivots)`, if given, is called with their
-       leads, and may return more known pivot rows in CSR form (leads,
-       offsets, columns, coefficients), led by columns no row leads.
+       known pivot row.  `extra`, if given, holds more known pivot rows
+       in CSR form (leads, offsets, columns, coefficients), led by
+       columns no row leads.
     3. The known pivot rows, sorted by lead, form [T | N] on (pivot
        columns | free columns), with T unit upper triangular mod p, since
        every lead is 1 mod p and every other term lies at a later
@@ -506,14 +509,12 @@ class KnownPivotSplit:
     """
 
     def __init__(self, p: int, ncols: int, cols: np.ndarray,
-                 coeffs: np.ndarray, first: int = 0,
-                 extra=lambda pivots: None, before_block=lambda: None):
+                 coeffs: np.ndarray, first: int = 0, extra=None):
         pivots, known = np.unique(cols[first:, 0], return_index=True)
         known += first
-        self.extra = extra(pivots)
-        if self.extra is not None:
-            pivots = np.sort(np.concatenate([pivots, self.extra[0]]))
-        self.p, self.pivots, self.before_block = p, pivots, before_block
+        if extra is not None:
+            pivots = np.sort(np.concatenate([pivots, extra[0]]))
+        self.p, self.pivots, self.extra = p, pivots, extra
         self.npiv, self.nfree = npiv, nfree = len(pivots), ncols - len(pivots)
         # Column -> index among the pivot (resp. free) columns; the padding
         # column and the other kind map one past the end.
@@ -523,7 +524,7 @@ class KnownPivotSplit:
         self._free_of = np.full(ncols + 1, nfree, dtype=np.int64)
         self._free_of[self.free] = np.arange(nfree)
         self.dtype = _kernel_dtype(p, npiv + 1)
-        self.X = _known_block(cols[known], coeffs[known], self.extra,
+        self.X = _known_block(cols[known], coeffs[known], extra,
                               self._piv_of, self._free_of, self.dtype, p)
         self.others = np.delete(np.arange(len(cols)), known)
         self.reducer = RowReducer(p, nfree)
@@ -532,7 +533,7 @@ class KnownPivotSplit:
     def feed(self, cols: np.ndarray, coeffs: np.ndarray,
              rows: np.ndarray) -> list[int | None]:
         """Feed the Schur rows of the given rows of (cols, coeffs) to the
-        reducer, calling before_block before each block.
+        reducer, checking the deadline before each block.
 
         Once the reducer's rank fills the free columns no row can add a
         pivot, and the rest are skipped.  Returns one reducer slot, or
@@ -542,7 +543,7 @@ class KnownPivotSplit:
         for lo in range(0, len(rows), BLOCK_ROWS):
             if self.reducer.rank == self.nfree:
                 break
-            self.before_block()
+            check_deadline()
             chunk = rows[lo:lo + BLOCK_ROWS]
             if len(self._C) < len(chunk):
                 # Allocated once, as large as the first feed needs, so

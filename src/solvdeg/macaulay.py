@@ -20,16 +20,19 @@ basis; that keeps the reported solving degree equal to the degree of the
 matrices actually eliminated.  The closed row space already proves the
 rest: pairs at or below degree d reduce to zero, the inputs lie in the
 ideal of the basis, and the pivot rows are inter-reduced (see `solve`).
+
+SolveTimeout lives in the deadline module, with the scope that solve
+opens, and is re-exported here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import Underdetermined, macaulay_bound
+from .deadline import SolveTimeout, check_deadline, deadline_after
 from .field import PrimeField
 # reduce_basis is unused here: perfbench/layers.py wraps it by name.
 from .groebner import is_groebner_basis, reduce_basis
@@ -59,21 +62,6 @@ class DegreeCapExceeded(RuntimeError):
     def __init__(self, message: str, trace: tuple):
         super().__init__(message)
         self.trace = trace
-
-
-class SolveTimeout(RuntimeError):
-    """The cooperative deadline expired; carries the partial trace."""
-
-    def __init__(self, message: str, trace: tuple):
-        super().__init__(message)
-        self.trace = trace
-
-
-def _check_deadline(deadline: float | None) -> None:
-    """Raise SolveTimeout once the deadline is reached: a deadline equal
-    to the clock counts as expired, so timeout=0 always stops."""
-    if deadline is not None and time.monotonic() >= deadline:
-        raise SolveTimeout("deadline expired", ())
 
 
 @dataclass(frozen=True)
@@ -186,9 +174,7 @@ class _Elimination:
     whichever rows spanned it.
     """
 
-    def __init__(self, inputs: list[tuple], d: int, p: int,
-                 deadline: float | None):
-        _check_deadline(deadline)
+    def __init__(self, inputs: list[tuple], d: int, p: int):
         self.d = d
         self.n = n = inputs[0][1].shape[1]
         self.index = MonomialIndex(n, d)
@@ -202,8 +188,7 @@ class _Elimination:
         cols, coeffs = product_rows(parts, self.index.size)
         self.split = KnownPivotSplit(
             p, self.index.size, cols, coeffs,
-            0 if len(cols) > _SPLIT_ROWS else len(cols),
-            before_block=lambda: _check_deadline(deadline))
+            0 if len(cols) > _SPLIT_ROWS else len(cols))
         self._free_degree = self.keys[self.split.free, -1].tolist()
         # Per Schur slot, in order of appearance: whether it closes.
         self.closes: list[bool] = []
@@ -269,9 +254,9 @@ def _extract_reduced_basis(elim: _Elimination, fld: PrimeField) -> list[Polynomi
         if not any(km.divides(m) for km, _ in kept):
             kept.append((m, i))
     known = iter(engine.reduce_vector(
-        split.X[[i for _, i in kept if i < npiv]], split.before_block))
+        split.X[[i for _, i in kept if i < npiv]]))
     schur = iter(engine.reduced_rows(
-        [i - npiv for _, i in kept if i >= npiv], split.before_block))
+        [i - npiv for _, i in kept if i >= npiv]))
     basis = []
     for m, i in kept:
         row = next(known) if i < npiv else next(schur)
@@ -297,10 +282,12 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
     With `apriori_bound` given, run the elimination up to that degree
     instead and return its basis without certification.  `max_degree`
     caps the certified mode only, so giving both stop rules is an error,
-    and so is either one below the largest input degree.  `timeout` is
-    checked before each block of rows, of the extraction's read-back and
-    before each S-pair division; once it is reached, SolveTimeout carries
-    the degrees done.
+    and so is either one below the largest input degree.  The whole call
+    runs in one deadline_after(timeout) scope, whose deadline an
+    enclosing scope's can only bring forward.  It is checked before each
+    degree, each block of rows and of the extraction's read-back, and
+    each S-pair division; once it is reached, SolveTimeout carries the
+    degrees done.
 
     Why nothing else needs checking.  Let V_d be the row space that
     _Elimination builds, closed as its docstring proves, and G its pivot
@@ -336,7 +323,6 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
         raise ValueError("cannot solve a system with no nonzero polynomials")
     fld = F.ring.modulus
     d0 = max(f.degree for f in polys)
-    deadline = None if timeout is None else time.monotonic() + timeout
 
     if apriori_bound is not None:
         end = apriori_bound
@@ -354,36 +340,36 @@ def solve(F: PolySystem, *, max_degree: int | None = None,
 
     inputs = _monic_terms(polys)
     trace: list[DegreeTrace] = []
-    for d in range(d0, end + 1):
-        try:
-            elim = _Elimination(inputs, d, fld.p, deadline)
-            trace.append(DegreeTrace(
-                degree=d, rows=elim.rows_fed, cols=elim.index.size,
-                rank=elim.split.npiv + elim.split.reducer.rank,
-                degree_falls=elim.fall_events,
-            ))
-            if apriori_bound is not None and d < end:
-                continue
-            basis = _extract_reduced_basis(elim, fld)
-            if apriori_bound is not None:
-                stop_reason = "apriori_bound"
-            elif is_groebner_basis(
-                    basis, closed_degree=d,
-                    before_pair=lambda: _check_deadline(deadline)):
-                stop_reason = "spair_check"
-            else:
-                continue
-        except SolveTimeout:
-            raise SolveTimeout(
-                f"solve timed out at degree {d}", tuple(trace)
-            ) from None
-        return SolveReport(
-            basis=tuple(basis),
-            solving_degree=d,
-            max_gb_degree=max(g.degree for g in basis),
-            trace=tuple(trace),
-            stop_reason=stop_reason,
-        )
+    with deadline_after(timeout):
+        for d in range(d0, end + 1):
+            try:
+                check_deadline()
+                elim = _Elimination(inputs, d, fld.p)
+                trace.append(DegreeTrace(
+                    degree=d, rows=elim.rows_fed, cols=elim.index.size,
+                    rank=elim.split.npiv + elim.split.reducer.rank,
+                    degree_falls=elim.fall_events,
+                ))
+                if apriori_bound is not None and d < end:
+                    continue
+                basis = _extract_reduced_basis(elim, fld)
+                if apriori_bound is not None:
+                    stop_reason = "apriori_bound"
+                elif is_groebner_basis(basis, closed_degree=d):
+                    stop_reason = "spair_check"
+                else:
+                    continue
+            except SolveTimeout:
+                raise SolveTimeout(
+                    f"solve timed out at degree {d}", tuple(trace)
+                ) from None
+            return SolveReport(
+                basis=tuple(basis),
+                solving_degree=d,
+                max_gb_degree=max(g.degree for g in basis),
+                trace=tuple(trace),
+                stop_reason=stop_reason,
+            )
     raise DegreeCapExceeded(
         f"no Groebner basis found through degree {end}", tuple(trace)
     )

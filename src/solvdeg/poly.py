@@ -262,9 +262,6 @@ class Polynomial:
             list(self.terms) + [(m, -c) for m, c in other.terms]
         )
 
-    def __neg__(self) -> "Polynomial":
-        return self._like([(m, -c) for m, c in self.terms])
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check(other)
@@ -384,12 +381,6 @@ class PolySystem:
 
     def nonzero(self) -> tuple[Polynomial, ...]:
         return tuple(f for f in self.polys if not f.is_zero())
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self) -> int:
-        return len(self.polys)
 
 
 # -- homogenization and top parts -------------------------------------------

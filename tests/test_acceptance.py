@@ -8,7 +8,7 @@ Each test prints one PASS line (visible with -s or in failure output).
 import pytest
 
 from solvdeg import buchberger_oracle, hilbert_function, top_system
-from solvdeg.verify import CLAIMS, evaluate, oracle_corpus
+from solvdeg.verify import CLAIMS, Claim, evaluate, oracle_corpus
 
 from conftest import oracle_standard_monomials
 
@@ -45,6 +45,26 @@ def test_criterion_04_gap_example_exact():
 
 def test_criterion_05_large_f7_examples():
     _criterion(5)
+
+
+def test_failed_claims_say_why():
+    # The gate's failure path: a wrong value, an overrun budget and a
+    # check that raises each fail the claim, and its line says why.
+    def broken():
+        raise ValueError("no value")
+
+    wrong, slow, error = (evaluate(c) for c in (
+        Claim("wrong", lambda: 2, 3),
+        Claim("slow", lambda: 3, 3, budget=0.0),
+        Claim("error", broken, 3)))
+    assert not (wrong.passed or slow.passed or error.passed)
+    assert wrong.line.startswith("[FAIL] wrong (")
+    assert wrong.line.endswith("s)  (got 2, expected 3)")
+    assert slow.got == 3
+    assert slow.line.endswith("s)  (over the 0s budget)")
+    assert error.got == "error: ValueError('no value')"
+    assert error.line.endswith(
+        "s)  (got \"error: ValueError('no value')\", expected 3)")
 
 
 def test_criterion_09_hilbert_oracle():

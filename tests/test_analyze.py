@@ -30,6 +30,7 @@ from solvdeg import (
 )
 from solvdeg import analyze
 from solvdeg.analyze import _rank_pass
+from solvdeg.deadline import deadline_after
 from solvdeg.linalg import RowReducer, _back_substitute
 from solvdeg.macaulay import SolveTimeout
 from solvdeg.poly import monomials_of_degree
@@ -290,14 +291,15 @@ def test_rank_pass_deadline_holds_inside_a_degree(monkeypatch):
     monkeypatch.setattr(analyze.KnownPivotSplit, "feed", expire_at_products)
     _rank_pass.cache_clear()
     rank_pass = _rank_pass(F)
-    with pytest.raises(SolveTimeout):
-        hilbert_function(F, 7, deadline=10.0)
+    with pytest.raises(SolveTimeout), deadline_after(10.0):
+        hilbert_function(F, 7)
     assert rank_pass.ranks == want[:3]
     assert [e for e, _, _ in rank_pass.gens] == [2] * 8
     assert rank_pass.found is not None
     monkeypatch.setattr(analyze.KnownPivotSplit, "feed", feed)
     clock[0] = 0.0
-    assert [rank_pass.rank(d, 10.0) for d in range(8)] == want
+    with deadline_after(10.0):
+        assert [rank_pass.rank(d) for d in range(8)] == want
 
 
 def test_back_substitute_rejects_backward_dependency():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from solvdeg import linalg, macaulay
+from solvdeg import linalg, macaulay, verify
 from solvdeg.cli import (
     ParseError,
     UnknownVariable,
@@ -16,7 +16,7 @@ from solvdeg.cli import (
 from solvdeg.field import NonPrimeField
 from solvdeg.presets import gap_quartic_system
 from solvdeg.randsys import random_system
-from solvdeg.verify import CLAIMS
+from solvdeg.verify import CLAIMS, Claim
 
 GAP_TEXT = """\
 # gap example over GF(7)
@@ -249,6 +249,22 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("field 7\nvars x\nx**2\n", "line 3, column 0: empty factor"),
+    ("field 7\nvars x\nx + + 1\n", "line 3, column 3: missing term"),
+    ("field seven\nvars x\nx\n", "line 1, column 0: bad field 'seven'"),
+    ("field 7\nx\n", "line 2, column 0: expected 'vars a,b,...'"),
+    ("field 7\nvars ,\nx\n", "line 2, column 0: no variables given"),
+], ids=["empty-factor", "missing-term", "bad-field", "no-vars-line",
+        "no-variables"])
+def test_parse_errors_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    code, out, err = run_cli(["solve", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"solvdeg: {message}\n"
+
+
 def test_analyze_cli(tmp_path, capsys):
     path = tmp_path / "gap.sys"
     path.write_text(GAP_TEXT)
@@ -354,6 +370,20 @@ def test_verify_paper_fast(capsys):
     assert all(line.startswith("[PASS] ") for line in lines)
     assert len(lines) == sum(not c.slow for c in CLAIMS)
     assert len({c.name for c in CLAIMS}) == len(CLAIMS)
+
+
+def test_verify_paper_failing_claim_exit_1(monkeypatch, capsys):
+    # One failing claim among passing ones fails the run, and its line
+    # says what it got.
+    claims = (Claim("one is one", lambda: 1, 1),
+              Claim("one and one make three", lambda: 1 + 1, 3))
+    monkeypatch.setattr(verify, "CLAIMS", claims)
+    code, out, _ = run_cli(["verify-paper", "--fast"], capsys)
+    assert code == 1
+    passed, failed = out.splitlines()
+    assert passed.startswith("[PASS] one is one (")
+    assert failed.startswith("[FAIL] one and one make three (")
+    assert failed.endswith("  (got 2, expected 3)")
 
 
 def test_verify_paper_json(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from solvdeg import linalg
 from solvdeg.linalg import RowReducer, matmul_mod, mod_p
 
 from conftest import assert_residues, oracle_rank, oracle_rref_rows
@@ -96,13 +97,13 @@ def test_incremental_feeding_matches_bulk():
 
 @pytest.mark.parametrize("p, dtype", [(7, np.float32), (7919, np.float64),
                                       (2**31 - 1, np.int64)])
-def test_read_back_matches_rref_oracle(p, dtype):
+def test_read_back_matches_rref_oracle(p, dtype, monkeypatch):
     # Fed a few rows at a time, the reducer keeps many blocks, and its
     # stored rows are only semi-echelon: each leads with 1 at its pivot
     # column and is clear of the other pivot columns of its own and
     # earlier blocks.  The read-back of any chosen slots, in any order,
-    # gives those slots' rows of the oracle's RREF, with one call of the
-    # hook per block after the first chosen slot's block.
+    # gives those slots' rows of the oracle's RREF, with one deadline
+    # check per block after the first chosen slot's block.
     rng = np.random.default_rng(p % 1000)
     for _ in range(10):
         rows = int(rng.integers(5, 45))
@@ -120,7 +121,9 @@ def test_read_back_matches_rref_oracle(p, dtype):
         want = {r.index(1): r for r in oracle_rref_rows(M.tolist(), p)}
         chosen = rng.permutation(eng.rank)[: int(rng.integers(eng.rank + 1))]
         calls = []
-        got = eng.reduced_rows(chosen, lambda: calls.append(None))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "check_deadline", lambda: calls.append(None))
+            got = eng.reduced_rows(chosen)
         assert got.shape == (len(chosen), cols)
         assert [tuple(int(v) for v in r) for r in got] == [
             want[pc[slot]] for slot in chosen]

@@ -181,7 +181,7 @@ def split_every_degree(monkeypatch):
 
 def _elimination(F, d):
     polys = [f for f in F.polys if not f.is_zero()]
-    return _Elimination(_monic_terms(polys), d, F.ring.modulus.p, None)
+    return _Elimination(_monic_terms(polys), d, F.ring.modulus.p)
 
 
 def _row_space(elim, p):
